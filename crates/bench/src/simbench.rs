@@ -130,7 +130,8 @@ pub struct SimulatorBench {
     /// across.
     pub serve_pipelined_connections: u64,
     /// The mixed half-cold/half-cached batch submitted one job at a time
-    /// over a single v2 connection — the serial baseline
+    /// through a `Client` (a fresh one-job connection per submission) —
+    /// the serial baseline
     /// [`SimulatorBench::serve_pipelined_speedup`] divides by.
     pub serve_submit_mixed: Measurement,
     /// A batch of distinct cold jobs kept in flight across the pipelined
@@ -698,10 +699,11 @@ pub fn simulator_measurements(iters: u32) -> SimulatorBench {
     // connection, one driver thread each) against a 2-job server.
     // `pipelined_cold` uses a distinct trace per job, `pipelined_cached`
     // resubmits one warm trace, and `pipelined_mixed` interleaves the
-    // two; the same mixed batch submitted one job at a time over a single
-    // v2 connection (`serve/submit_mixed`) is the serial baseline
-    // `serve_pipelined_speedup` divides by. The cache is sized to hold
-    // every variant so the warm trace is never evicted mid-measurement.
+    // two; the same mixed batch submitted one job at a time through a
+    // `Client`, one short-lived connection per job (`serve/submit_mixed`),
+    // is the serial baseline `serve_pipelined_speedup` divides by. The
+    // cache is sized to hold every variant so the warm trace is never
+    // evicted mid-measurement.
     let pipe_jobs: u64 = if smoke_mode() { 8 } else { 16 };
     let pipe_conns: usize = 4;
     const PIPE_WINDOW: usize = 4;

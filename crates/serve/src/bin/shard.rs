@@ -142,10 +142,7 @@ fn main() {
         };
         let local = Engine::new().run(label, &trace, &cfg);
         let model = EnergyModel::paper();
-        let local_energy = match label {
-            fpraker_sim::Machine::FpRaker => model.fpraker_energy(&local.counts()).total_pj(),
-            fpraker_sim::Machine::Baseline => model.baseline_energy(&local.counts()).total_pj(),
-        };
+        let local_energy = label.energy(&model, &local.counts()).total_pj();
         let mut mismatches = 0u32;
         if local.ops.len() != r.ops.len() {
             eprintln!(

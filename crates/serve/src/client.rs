@@ -1,30 +1,30 @@
 //! Client library for the trace-simulation service.
 //!
-//! A [`Client`] is an address; every submission opens one connection,
-//! performs one half-duplex job exchange (see [`crate::protocol`]), and
-//! closes. Submissions identify their trace by content digest up front, so
-//! a server-side cache hit is answered **without uploading the trace at
-//! all** — resubmitting a large trace costs one small header frame.
+//! A [`PipelinedConnection`] is one persistent connection carrying many
+//! tagged jobs at once. Submissions return a [`PendingJob`] immediately; a
+//! background reader thread demultiplexes response frames by `job_id` into
+//! per-job channels, so jobs complete out of order and the connection
+//! never idles waiting for the slowest job. Jobs carry priorities and
+//! deadlines, can be cancelled while queued, and surface the server's
+//! explicit backpressure as [`ServeError::Busy`].
+//!
+//! A [`Client`] is an address and a one-shot convenience over the same
+//! path: every submission opens a [`PipelinedConnection`], runs one job
+//! (start + wait), and drops the connection. Submissions identify their
+//! trace by content digest up front, so a server-side cache hit is
+//! answered **without uploading the trace at all** — resubmitting a large
+//! trace costs one small header frame.
 //!
 //! Traces can be submitted from memory ([`Client::submit_trace`] /
 //! [`Client::submit_encoded`]) or streamed from disk
 //! ([`Client::submit_file`], two passes: one to digest, one to upload in
 //! bounded chunks — the trace is never loaded whole).
-//!
-//! A [`PipelinedConnection`] is the v3 counterpart: one persistent
-//! connection carrying many tagged jobs at once. Submissions return a
-//! [`PendingJob`] immediately; a background reader thread demultiplexes
-//! response frames by `job_id` into per-job channels, so jobs complete
-//! out of order and the connection never idles waiting for the slowest
-//! job. Jobs carry priorities and deadlines, can be cancelled while
-//! queued, and surface the server's explicit backpressure as
-//! [`ServeError::Busy`].
 
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -34,8 +34,8 @@ use fpraker_trace::digest::Fnv64;
 use fpraker_trace::{codec, Trace};
 
 use crate::protocol::{
-    self, read_frame, tag, write_frame, JobKind, JobResult, JobSubmit, RangeSubmit, ServeError,
-    ServerStats, StatsSubmit, Submit, TraceStatsReport, TRACE_CHUNK,
+    self, read_frame, tag, write_frame, JobKind, JobResult, JobSubmit, ServeError, ServerStats,
+    TraceStatsReport, TRACE_CHUNK,
 };
 
 /// A server response: the job's result plus whether it was served from the
@@ -59,7 +59,7 @@ pub struct StatsResponse {
     pub report: TraceStatsReport,
 }
 
-/// A handle on a `fpraker-serve` server.
+/// A handle on a `fpraker-serve` server: one job per connection.
 ///
 /// ```no_run
 /// use fpraker_serve::Client;
@@ -83,19 +83,16 @@ impl Client {
     ///
     /// Fails if `addr` does not resolve to any socket address.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Client, ServeError> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| ServeError::Protocol("address resolved to nothing".into()))?;
         Ok(Client {
-            addr,
+            addr: resolve(addr)?,
             io_timeout: Some(Duration::from_secs(600)),
         })
     }
 
     /// Overrides the per-request socket timeout (`None` blocks forever).
-    /// The default is 600 s — long enough for a cold simulation of a large
-    /// trace, short enough that a dead server fails the call.
+    /// The default is 600 s. It bounds each socket operation, not the
+    /// job: a submission waits out a queued or long-running job, and fails
+    /// when the server closes the connection.
     pub fn io_timeout(mut self, timeout: Option<Duration>) -> Client {
         self.io_timeout = timeout;
         self
@@ -109,13 +106,26 @@ impl Client {
         Ok(stream)
     }
 
+    /// Runs one job on a fresh [`PipelinedConnection`], dropped with the
+    /// job's outcome.
+    fn one_shot<T>(
+        &self,
+        job: impl FnOnce(&PipelinedConnection) -> Result<T, ServeError>,
+    ) -> Result<T, ServeError> {
+        job(&PipelinedConnection::connect_with_timeout(
+            self.addr,
+            self.io_timeout,
+        )?)
+    }
+
     /// Submits an in-memory trace for simulation on the named machine
     /// spec (see `fpraker_sim::machine_names`).
     ///
     /// # Errors
     ///
-    /// I/O failures, protocol violations, or a server-side error (unknown
-    /// spec, undecodable trace, …) reported as [`ServeError::Remote`].
+    /// I/O failures, protocol violations, a server-side error (unknown
+    /// spec, undecodable trace, …) reported as [`ServeError::Remote`], or
+    /// [`ServeError::Busy`] when the server's queue is full.
     pub fn submit_trace(&self, trace: &Trace, spec: &str) -> Result<JobResponse, ServeError> {
         let bytes = codec::encode(trace);
         self.submit_encoded(&bytes, spec)
@@ -128,12 +138,7 @@ impl Client {
     ///
     /// As [`Client::submit_trace`].
     pub fn submit_encoded(&self, bytes: &[u8], spec: &str) -> Result<JobResponse, ServeError> {
-        self.submit_stream(
-            Fnv64::digest_of(bytes),
-            bytes.len() as u64,
-            spec,
-            &mut &bytes[..],
-        )
+        self.one_shot(|conn| conn.submit_encoded(bytes, spec, JobOptions::default()))
     }
 
     /// Streams a trace file to the server without loading it: pass one
@@ -149,85 +154,17 @@ impl Client {
         path: P,
         spec: &str,
     ) -> Result<JobResponse, ServeError> {
-        let path = path.as_ref();
-        let (digest, len) = digest_file(path)?;
-        let mut upload = BufReader::new(File::open(path)?);
-        self.submit_stream(digest, len, spec, &mut upload)
-    }
-
-    /// The shared submission path: header first, upload only on demand.
-    fn submit_stream<R: Read>(
-        &self,
-        digest: u64,
-        trace_bytes: u64,
-        spec: &str,
-        trace: &mut R,
-    ) -> Result<JobResponse, ServeError> {
-        if u16::try_from(spec.len()).is_err() {
-            return Err(ServeError::Protocol(format!(
-                "machine spec of {} bytes exceeds the u16 length prefix",
-                spec.len()
-            )));
-        }
-        let mut stream = self.open()?;
-        let submit = Submit {
+        let kind = JobKind::Sim {
             spec: spec.to_string(),
-            digest,
-            trace_bytes,
         };
-        write_frame(&mut stream, tag::SUBMIT, &submit.encode())?;
-        stream.flush()?;
-        match self.read_response(&mut stream)? {
-            Response::Result(r) => Ok(r),
-            Response::NeedTrace => {
-                if let Err(e) = self.upload(&mut stream, trace) {
-                    // The server may have rejected the upload mid-stream;
-                    // prefer its verdict over our broken pipe.
-                    return match self.read_response(&mut stream) {
-                        Ok(Response::Result(r)) => Ok(r),
-                        Err(remote @ ServeError::Remote(_)) => Err(remote),
-                        _ => Err(e),
-                    };
-                }
-                match self.read_response(&mut stream)? {
-                    Response::Result(r) => Ok(r),
-                    Response::NeedTrace => Err(ServeError::Protocol(
-                        "server asked for the trace twice".into(),
-                    )),
-                }
-            }
-        }
-    }
-
-    fn upload<R: Read>(&self, stream: &mut TcpStream, trace: &mut R) -> Result<(), ServeError> {
-        let mut chunk = vec![0u8; TRACE_CHUNK];
-        loop {
-            let n = trace.read(&mut chunk)?;
-            if n == 0 {
-                break;
-            }
-            write_frame(stream, tag::TRACE_DATA, &chunk[..n])?;
-        }
-        write_frame(stream, tag::TRACE_END, &[])?;
-        stream.flush()?;
-        Ok(())
-    }
-
-    fn read_response(&self, stream: &mut TcpStream) -> Result<Response, ServeError> {
-        let (frame_tag, payload) = read_frame(stream)?;
-        match frame_tag {
-            tag::NEED_TRACE => Ok(Response::NeedTrace),
-            tag::RESULT => {
-                let (&cached, result_payload) = payload
-                    .split_first()
-                    .ok_or_else(|| ServeError::Protocol("empty result frame".into()))?;
-                Ok(Response::Result(JobResponse {
-                    cached: cached != 0,
-                    result: protocol::decode_result(result_payload)?,
-                }))
-            }
-            other => Err(failure_response(other, payload)),
-        }
+        self.one_shot(|conn| {
+            conn.start_job(
+                Upload::File(path.as_ref().into()),
+                kind,
+                JobOptions::default(),
+            )?
+            .wait()
+        })
     }
 
     /// Submits a **segment-range job**: `bytes` is a self-contained
@@ -249,40 +186,9 @@ impl Client {
         first_op: u64,
         ops: u64,
     ) -> Result<JobResponse, ServeError> {
-        if u16::try_from(spec.len()).is_err() {
-            return Err(ServeError::Protocol(format!(
-                "machine spec of {} bytes exceeds the u16 length prefix",
-                spec.len()
-            )));
-        }
-        let mut stream = self.open()?;
-        let submit = RangeSubmit {
-            spec: spec.to_string(),
-            digest: Fnv64::digest_of(bytes),
-            trace_bytes: bytes.len() as u64,
-            first_op,
-            ops,
-        };
-        write_frame(&mut stream, tag::SUBMIT_RANGE, &submit.encode())?;
-        stream.flush()?;
-        match self.read_response(&mut stream)? {
-            Response::Result(r) => Ok(r),
-            Response::NeedTrace => {
-                if let Err(e) = self.upload(&mut stream, &mut &bytes[..]) {
-                    return match self.read_response(&mut stream) {
-                        Ok(Response::Result(r)) => Ok(r),
-                        Err(remote @ ServeError::Remote(_)) => Err(remote),
-                        _ => Err(e),
-                    };
-                }
-                match self.read_response(&mut stream)? {
-                    Response::Result(r) => Ok(r),
-                    Response::NeedTrace => Err(ServeError::Protocol(
-                        "server asked for the trace twice".into(),
-                    )),
-                }
-            }
-        }
+        self.one_shot(|conn| {
+            conn.submit_range_encoded(bytes, spec, first_op, ops, JobOptions::default())
+        })
     }
 
     /// Submits a **trace-statistics job** over an already-encoded trace:
@@ -295,7 +201,7 @@ impl Client {
     ///
     /// As [`Client::submit_trace`].
     pub fn submit_stats_encoded(&self, bytes: &[u8]) -> Result<StatsResponse, ServeError> {
-        self.stats_stream(Fnv64::digest_of(bytes), bytes.len() as u64, &mut &bytes[..])
+        self.one_shot(|conn| conn.submit_stats_encoded(bytes))
     }
 
     /// [`Client::submit_stats_encoded`] for a trace file, streamed in two
@@ -305,53 +211,14 @@ impl Client {
     ///
     /// As [`Client::submit_file`].
     pub fn submit_stats_file<P: AsRef<Path>>(&self, path: P) -> Result<StatsResponse, ServeError> {
-        let (digest, len) = digest_file(path.as_ref())?;
-        let mut upload = BufReader::new(File::open(path.as_ref())?);
-        self.stats_stream(digest, len, &mut upload)
-    }
-
-    fn stats_stream<R: Read>(
-        &self,
-        digest: u64,
-        trace_bytes: u64,
-        trace: &mut R,
-    ) -> Result<StatsResponse, ServeError> {
-        let mut stream = self.open()?;
-        let submit = StatsSubmit {
-            digest,
-            trace_bytes,
-        };
-        write_frame(&mut stream, tag::SUBMIT_STATS, &submit.encode())?;
-        stream.flush()?;
-        match self.read_stats_response(&mut stream)? {
-            StatsReply::Result(r) => Ok(*r),
-            StatsReply::NeedTrace => {
-                self.upload(&mut stream, trace)?;
-                match self.read_stats_response(&mut stream)? {
-                    StatsReply::Result(r) => Ok(*r),
-                    StatsReply::NeedTrace => Err(ServeError::Protocol(
-                        "server asked for the trace twice".into(),
-                    )),
-                }
-            }
-        }
-    }
-
-    fn read_stats_response(&self, stream: &mut TcpStream) -> Result<StatsReply, ServeError> {
-        let (frame_tag, payload) = read_frame(stream)?;
-        match frame_tag {
-            tag::NEED_TRACE => Ok(StatsReply::NeedTrace),
-            tag::TRACE_STATS_RESULT => {
-                let (&cached, report_payload) = payload
-                    .split_first()
-                    .ok_or_else(|| ServeError::Protocol("empty stats result frame".into()))?;
-                Ok(StatsReply::Result(Box::new(StatsResponse {
-                    cached: cached != 0,
-                    report: TraceStatsReport::decode(report_payload)?,
-                })))
-            }
-            other => Err(failure_response(other, payload)),
-        }
+        self.one_shot(|conn| {
+            conn.start_job(
+                Upload::File(path.as_ref().into()),
+                JobKind::Stats,
+                JobOptions::default(),
+            )?
+            .wait_stats()
+        })
     }
 
     /// Fetches the server's job and cache counters.
@@ -404,16 +271,6 @@ fn failure_response(frame_tag: u8, payload: Vec<u8>) -> ServeError {
     } else {
         ServeError::Protocol(format!("unexpected response tag {frame_tag:#04x}"))
     }
-}
-
-enum Response {
-    NeedTrace,
-    Result(JobResponse),
-}
-
-enum StatsReply {
-    NeedTrace,
-    Result(Box<StatsResponse>),
 }
 
 /// Per-job scheduling options for tagged (v3) submissions.
@@ -526,11 +383,7 @@ impl PipelinedConnection {
         addr: A,
         io_timeout: Option<Duration>,
     ) -> Result<PipelinedConnection, ServeError> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| ServeError::Protocol("address resolved to nothing".into()))?;
-        let stream = TcpStream::connect(addr)?;
+        let stream = TcpStream::connect(resolve(addr)?)?;
         stream.set_read_timeout(io_timeout)?;
         stream.set_write_timeout(io_timeout)?;
         stream.set_nodelay(true).ok();
@@ -566,7 +419,7 @@ impl PipelinedConnection {
         options: JobOptions,
     ) -> Result<PendingJob<'a>, ServeError> {
         self.start_job(
-            bytes,
+            Upload::Bytes(bytes),
             JobKind::Sim {
                 spec: spec.to_string(),
             },
@@ -589,7 +442,7 @@ impl PipelinedConnection {
         options: JobOptions,
     ) -> Result<PendingJob<'a>, ServeError> {
         self.start_job(
-            bytes,
+            Upload::Bytes(bytes),
             JobKind::Range {
                 spec: spec.to_string(),
                 first_op,
@@ -609,7 +462,7 @@ impl PipelinedConnection {
         bytes: &'a [u8],
         options: JobOptions,
     ) -> Result<PendingJob<'a>, ServeError> {
-        self.start_job(bytes, JobKind::Stats, options)
+        self.start_job(Upload::Bytes(bytes), JobKind::Stats, options)
     }
 
     /// Blocking tagged simulation: start + wait.
@@ -656,7 +509,7 @@ impl PipelinedConnection {
 
     fn start_job<'a>(
         &self,
-        bytes: &'a [u8],
+        upload: Upload<'a>,
         kind: JobKind,
         options: JobOptions,
     ) -> Result<PendingJob<'a>, ServeError> {
@@ -669,13 +522,14 @@ impl PipelinedConnection {
             }
         }
         let is_stats = matches!(kind, JobKind::Stats);
+        let (digest, trace_bytes) = upload.measure()?;
         let job_id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         let submit = JobSubmit {
             job_id,
             priority: options.priority,
             deadline_ms: options.deadline_ms,
-            digest: Fnv64::digest_of(bytes),
-            trace_bytes: bytes.len() as u64,
+            digest,
+            trace_bytes,
             kind,
         };
         let (tx, rx) = mpsc::channel();
@@ -702,7 +556,7 @@ impl PipelinedConnection {
             shared: Arc::clone(&self.shared),
             job_id,
             rx,
-            bytes,
+            upload,
             is_stats,
         })
     }
@@ -823,8 +677,59 @@ pub struct PendingJob<'a> {
     shared: Arc<ConnShared>,
     job_id: u64,
     rx: mpsc::Receiver<JobEvent>,
-    bytes: &'a [u8],
+    upload: Upload<'a>,
     is_stats: bool,
+}
+
+/// The trace a job uploads when the server asks for it.
+enum Upload<'a> {
+    /// Already-encoded bytes, borrowed for the job's lifetime.
+    Bytes(&'a [u8]),
+    /// A trace file: digested in one pass when the job starts, re-read in
+    /// [`TRACE_CHUNK`] pieces if the server asks for it, never loaded
+    /// whole.
+    File(PathBuf),
+}
+
+impl Upload<'_> {
+    /// The `(digest, length)` the submission header declares.
+    fn measure(&self) -> Result<(u64, u64), ServeError> {
+        let path = match self {
+            Upload::Bytes(bytes) => return Ok((Fnv64::digest_of(bytes), bytes.len() as u64)),
+            Upload::File(path) => path,
+        };
+        let mut digest = Fnv64::new();
+        let mut len: u64 = 0;
+        for_each_chunk(path, |chunk| {
+            digest.update(chunk);
+            len += chunk.len() as u64;
+            Ok(())
+        })?;
+        Ok((digest.value(), len))
+    }
+}
+
+/// Feeds a file to `f` in [`TRACE_CHUNK`]-byte pieces.
+fn for_each_chunk(
+    path: &Path,
+    mut f: impl FnMut(&[u8]) -> Result<(), ServeError>,
+) -> Result<(), ServeError> {
+    let mut reader = BufReader::new(File::open(path)?);
+    let mut chunk = vec![0u8; TRACE_CHUNK];
+    loop {
+        let n = reader.read(&mut chunk)?;
+        if n == 0 {
+            return Ok(());
+        }
+        f(&chunk[..n])?;
+    }
+}
+
+/// Resolves an address to its first socket address.
+fn resolve<A: ToSocketAddrs>(addr: A) -> Result<SocketAddr, ServeError> {
+    addr.to_socket_addrs()?
+        .next()
+        .ok_or_else(|| ServeError::Protocol("address resolved to nothing".into()))
 }
 
 impl PendingJob<'_> {
@@ -924,13 +829,17 @@ impl PendingJob<'_> {
     /// jobs' frames interleave on the wire — the server reassembles each
     /// job's stream by id.
     fn upload(&self) -> Result<(), ServeError> {
-        for chunk in self.bytes.chunks(TRACE_CHUNK) {
+        let send = |chunk: &[u8]| {
             let mut w = self.shared.writer.lock().unwrap();
             write_frame(
                 &mut *w,
                 tag::JOB_DATA,
                 &protocol::encode_job_payload(self.job_id, chunk),
-            )?;
+            )
+        };
+        match &self.upload {
+            Upload::Bytes(bytes) => bytes.chunks(TRACE_CHUNK).try_for_each(send)?,
+            Upload::File(path) => for_each_chunk(path, send)?,
         }
         let mut w = self.shared.writer.lock().unwrap();
         write_frame(
@@ -974,23 +883,6 @@ pub fn submit_with_retry(
             other => return other,
         }
     }
-}
-
-/// One digesting pass over a file: `(digest, length)`.
-fn digest_file(path: &Path) -> Result<(u64, u64), ServeError> {
-    let mut digest = Fnv64::new();
-    let mut len: u64 = 0;
-    let mut reader = BufReader::new(File::open(path)?);
-    let mut chunk = vec![0u8; TRACE_CHUNK];
-    loop {
-        let n = reader.read(&mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        digest.update(&chunk[..n]);
-        len += n as u64;
-    }
-    Ok((digest.value(), len))
 }
 
 #[cfg(test)]

@@ -59,8 +59,9 @@
 //! [`tag::JOB_ERROR`] carrying [`job_error::CANCELLED`]) and is a no-op
 //! for a running or unknown one. A job whose deadline lapses while
 //! queued is answered with [`job_error::DEADLINE`]. Untagged v2 frames
-//! remain valid on the same port and are served with the old serial
-//! semantics (conceptually `job_id 0`), so v2 clients keep working.
+//! remain valid on the same port, so v2 clients keep working: the server
+//! runs a v2 submission as tagged job 0 and frames its replies in the v2
+//! dialect above.
 
 use std::error::Error;
 use std::fmt;
@@ -68,7 +69,7 @@ use std::io;
 use std::io::{Read, Write};
 
 use fpraker_energy::{EnergyModel, EventCounts};
-use fpraker_sim::{Machine, RunResult};
+use fpraker_sim::RunResult;
 use fpraker_trace::{DecodeError, Phase};
 
 /// Magic bytes opening every [`tag::SUBMIT`]/[`tag::STATS`] payload, so
@@ -82,7 +83,7 @@ pub const PROTOCOL_MAGIC: &[u8; 4] = b"FPRS";
 /// `BUSY` backpressure, so one connection can carry many jobs in flight.
 pub const PROTOCOL_VERSION: u8 = 3;
 /// The oldest protocol version the server still accepts. Untagged v2
-/// frames are served with serial semantics, and the v2-dialect encoders
+/// frames are served as tagged job 0, and the v2-dialect encoders
 /// below keep stamping this version so their requests stay valid against
 /// v2 servers too.
 pub const LEGACY_PROTOCOL_VERSION: u8 = 2;
@@ -293,8 +294,8 @@ impl Submit {
     ///
     /// Panics if the spec name exceeds the u16 length prefix (65535
     /// bytes) — silently wrapping the length would corrupt the payload.
-    /// [`crate::Client`] validates spec names before encoding, so library
-    /// users never hit this.
+    /// The client library validates spec names before encoding, so
+    /// library users never hit this.
     pub fn encode(&self) -> Vec<u8> {
         u16::try_from(self.spec.len()).expect("spec name exceeds the u16 length prefix");
         let mut out = Vec::with_capacity(4 + 1 + 8 + 8 + 2 + self.spec.len());
@@ -1122,10 +1123,7 @@ pub fn encode_result(
     peak_resident_ops: u64,
     model: &EnergyModel,
 ) -> Vec<u8> {
-    let energy = |counts| match run.machine {
-        Machine::FpRaker => model.fpraker_energy(counts).total_pj(),
-        Machine::Baseline => model.baseline_energy(counts).total_pj(),
-    };
+    let energy = |counts| run.machine.energy(model, counts).total_pj();
     let mut out = Vec::with_capacity(64 + run.ops.len() * 105);
     out.extend_from_slice(&(spec.len() as u16).to_le_bytes());
     out.extend_from_slice(spec.as_bytes());

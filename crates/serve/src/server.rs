@@ -1,25 +1,29 @@
 //! The trace-simulation server: accept loop, bounded job pool, and the
-//! per-connection protocol state machine.
+//! per-connection frame loop.
 //!
-//! A connection is a frame loop. Untagged v2 frames keep their serial
-//! semantics: the handler parses the [`crate::protocol::Submit`] header,
-//! resolves the machine spec through the `fpraker_sim` registry, consults
-//! the content-addressed [`ResultCache`], and on a miss pipes the
-//! incoming [`crate::protocol::tag::TRACE_DATA`] frames **straight into**
-//! an incremental [`codec::Reader`] driving [`Engine::run_source`] — the
+//! Every job takes one path. A connection is a frame loop: each
+//! submission is parsed, its machine spec resolved through the
+//! `fpraker_sim` registry, and the content-addressed [`ResultCache`]
+//! consulted right on the read loop. A miss is dispatched to its own job
+//! thread and the connection thread goes straight back to reading, so many
+//! jobs ride one connection with out-of-order completion. The job thread
+//! queues for a pool permit, asks for the upload, and pipes the upload
+//! chunks — routed to its bounded channel by `job_id` — **straight into**
+//! an incremental [`codec::Reader`] driving [`Engine::run_source`]: the
 //! upload is simulated as it arrives, under the engine's bounded op
-//! window, and is never materialized.
+//! window, and is never materialized. Responses are serialized through a
+//! shared write handle. Queued (not yet running) jobs can be cancelled or
+//! expire at their deadline; when the pool is saturated past
+//! [`ServerConfig::queue_depth`] waiting jobs, new tagged jobs are refused
+//! with an explicit `BUSY { retry_after_ms }` instead of queueing silently.
 //!
-//! Tagged v3 frames multiplex: each [`crate::protocol::tag::SUBMIT_JOB`]
-//! is dispatched to its own job thread and the connection thread goes
-//! straight back to reading, so many jobs ride one connection with
-//! out-of-order completion. Responses are serialized through a shared
-//! write handle; upload chunks are routed to their job's bounded channel
-//! by `job_id`. Queued (not yet running) jobs can be cancelled or expire
-//! at their deadline; when the pool is saturated past
-//! [`ServerConfig::queue_depth`] waiting jobs, new tagged jobs are
-//! refused with an explicit `BUSY { retry_after_ms }` instead of queueing
-//! silently.
+//! The untagged v2 dialect is a framing adapter onto that same path, not a
+//! second state machine: a v2 `SUBMIT`, `SUBMIT_RANGE` or `SUBMIT_STATS`
+//! becomes job 0 at [`DEFAULT_PRIORITY`] with no deadline, and its
+//! `TRACE_DATA` / `TRACE_END` frames feed job 0's upload channel. Only the
+//! replies differ: v2 gets `NEED_TRACE`, `RESULT` / `TRACE_STATS_RESULT`
+//! and `ERROR` (after which the connection closes), and a v2 job always
+//! queues — its protocol has no `BUSY` frame.
 //!
 //! Simulations are dispatched across a bounded job pool: a priority-aware
 //! counting semaphore of `jobs` permits, each job running the shared
@@ -27,14 +31,13 @@
 //! budget is `jobs × threads_per_job` regardless of how many clients
 //! connect (`threads_per_job = 0` resolves to one worker per core per
 //! job — see [`ServerConfig::threads_per_job`]).
-//! Per-job failures are answered with a job-tagged error frame and kill
-//! only that job; connection-level protocol violations are answered with
-//! an error frame and close only that connection; the accept loop keeps
-//! serving.
+//! Per-job failures kill only that job; connection-level protocol
+//! violations are answered with an error frame and close only that
+//! connection; the accept loop keeps serving.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -51,8 +54,8 @@ use fpraker_trace::TraceSource;
 
 use crate::cache::{CacheKey, CacheStats, ResultCache};
 use crate::protocol::{
-    self, job_error, read_frame, tag, write_frame, JobKind, JobSubmit, RangeSubmit, ServeError,
-    ServerStats, StatsSubmit, Submit, TraceStatsReport, MAX_FRAME_LEN,
+    self, job_error, tag, write_frame, JobKind, JobSubmit, RangeSubmit, ServeError, ServerStats,
+    StatsSubmit, Submit, TraceStatsReport, MAX_FRAME_LEN,
 };
 
 /// The pseudo machine-spec under which trace-statistics results are
@@ -63,9 +66,8 @@ const STATS_SPEC: &str = "#stats";
 /// tagged jobs can explicitly rank above or below legacy traffic).
 pub const DEFAULT_PRIORITY: u8 = 100;
 
-/// Bounded upload channel per tagged job, in frames. Full channels push
-/// back on the connection's read loop, which pushes back on TCP — the
-/// same flow control a v2 upload gets from the socket itself.
+/// Bounded upload channel per job, in frames. Full channels push back on
+/// the connection's read loop, which pushes back on TCP.
 const UPLOAD_CHANNEL_FRAMES: usize = 32;
 
 /// Server tuning knobs.
@@ -102,10 +104,12 @@ pub struct ServerConfig {
     /// The retry hint carried by `BUSY` responses, in milliseconds.
     pub busy_retry_ms: u32,
     /// Per-connection socket timeout (`None` = block forever). Bounds how
-    /// long a stalled client can pin a connection thread. A connection
-    /// that has spoken v3 may idle indefinitely *between* frames (a
-    /// pipelined connection is persistent); the timeout still bounds
-    /// stalls inside a frame.
+    /// long a stalled client can pin a connection thread, and how long a
+    /// running job waits for its next upload frame. A connection that has
+    /// spoken v3, or has a job in flight, may idle indefinitely *between*
+    /// frames (a pipelined connection is persistent, and a queued job may
+    /// wait longer than this); the timeout still bounds stalls inside a
+    /// frame.
     pub io_timeout: Option<Duration>,
 }
 
@@ -481,16 +485,90 @@ fn request_histogram(job: &'static str, cached: bool) -> &'static fpraker_teleme
 /// socket outside it.
 type ConnWriter = Arc<Mutex<TcpStream>>;
 
-/// Sends an error frame (best-effort; the peer may already be gone).
-fn send_error(writer: &ConnWriter, message: &str) {
+/// Writes and flushes one whole frame.
+fn send_frame(writer: &ConnWriter, frame_tag: u8, payload: &[u8]) -> Result<(), ServeError> {
     let mut w = writer.lock().unwrap();
-    let _ = write_frame(&mut *w, tag::ERROR, message.as_bytes());
-    let _ = w.flush();
+    write_frame(&mut *w, frame_tag, payload)?;
+    w.flush()?;
+    Ok(())
 }
 
-/// One tagged job's connection-side state while it is in flight: the
-/// upload channel the read loop feeds and the cancel flag a
-/// [`tag::CANCEL`] frame sets.
+/// Sends an error frame (best-effort; the peer may already be gone).
+fn send_error(writer: &ConnWriter, message: &str) {
+    let _ = send_frame(writer, tag::ERROR, message.as_bytes());
+}
+
+/// The dialect a job arrived in. The job itself runs the same either way;
+/// only its reply frames differ.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Dialect {
+    /// Untagged v2 frames: the connection's one job, id 0. Replies carry
+    /// no id, an error closes the connection, and the job always queues
+    /// (v2 has no `BUSY` frame).
+    V2,
+    /// Tagged v3 frames: every reply echoes the job id, and an error kills
+    /// only the job.
+    V3,
+}
+
+/// Where one job's replies go, framed for the dialect it arrived in.
+struct Replies {
+    writer: ConnWriter,
+    job_id: u64,
+    dialect: Dialect,
+}
+
+impl Replies {
+    /// Asks the client for the job's trace.
+    fn need_trace(&self) -> Result<(), ServeError> {
+        let id = self.job_id.to_le_bytes();
+        let (frame_tag, payload): (u8, &[u8]) = match self.dialect {
+            Dialect::V2 => (tag::NEED_TRACE, &[]),
+            Dialect::V3 => (tag::JOB_NEED_TRACE, &id),
+        };
+        send_frame(&self.writer, frame_tag, payload)
+    }
+
+    /// Sends the job's `{[job_id,] cached, payload}` result frame.
+    fn result(&self, stats: bool, cached: bool, payload: &[u8]) -> Result<(), ServeError> {
+        let frame_tag = match (self.dialect, stats) {
+            (Dialect::V2, false) => tag::RESULT,
+            (Dialect::V2, true) => tag::TRACE_STATS_RESULT,
+            (Dialect::V3, false) => tag::JOB_RESULT,
+            (Dialect::V3, true) => tag::JOB_STATS_RESULT,
+        };
+        let mut framed = Vec::with_capacity(9 + payload.len());
+        if self.dialect == Dialect::V3 {
+            framed.extend_from_slice(&self.job_id.to_le_bytes());
+        }
+        framed.push(u8::from(cached));
+        framed.extend_from_slice(payload);
+        send_frame(&self.writer, frame_tag, &framed)?;
+        // Frame header (tag + u32 length) plus payload.
+        fpraker_telemetry::counter!("serve_bytes_out_total").add(5 + framed.len() as u64);
+        Ok(())
+    }
+
+    /// Fails the job (best-effort; the peer may already be gone). A v3
+    /// job dies alone; a v2 error also closes the connection, which ends
+    /// its read loop.
+    fn fail(&self, code: u8, message: &str) {
+        match self.dialect {
+            Dialect::V2 => {
+                send_error(&self.writer, message);
+                let _ = self.writer.lock().unwrap().shutdown(Shutdown::Both);
+            }
+            Dialect::V3 => {
+                let error = protocol::encode_job_error(self.job_id, code, message);
+                let _ = send_frame(&self.writer, tag::JOB_ERROR, &error);
+            }
+        }
+    }
+}
+
+/// One job's connection-side state while it is in flight: the upload
+/// channel the read loop feeds and the cancel flag a [`tag::CANCEL`] frame
+/// sets.
 struct PendingJob {
     data: mpsc::SyncSender<UploadMsg>,
     cancel: Arc<AtomicBool>,
@@ -526,24 +604,24 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> Result<(), Serv
     result
 }
 
-/// Reads one tag byte. Returns `None` on clean EOF. On a read timeout:
-/// a connection that has spoken v3 is persistent and may legitimately
-/// idle between frames, so the read retries; a v2 connection keeps the
-/// old behavior (a silent client is an error). A timeout can only split
-/// a *multi*-byte read, so retrying a 1-byte read never desynchronizes
-/// the frame stream.
-fn read_tag(reader: &mut TcpStream, pipelined: bool) -> Result<Option<u8>, ServeError> {
+/// Reads one tag byte. Returns `None` on clean EOF. A read timeout between
+/// frames is retried while `may_idle()` holds — a connection that has
+/// spoken v3 is persistent, and any connection with a job in flight is
+/// legitimately quiet while that job queues — and is an error otherwise
+/// (a silent connection with nothing in flight is dropped). A timeout can
+/// only split a *multi*-byte read, so retrying a 1-byte read never
+/// desynchronizes the frame stream.
+fn read_tag(reader: &mut TcpStream, may_idle: impl Fn() -> bool) -> Result<Option<u8>, ServeError> {
     let mut byte = [0u8; 1];
     loop {
         match reader.read(&mut byte) {
             Ok(0) => return Ok(None),
             Ok(_) => return Ok(Some(byte[0])),
             Err(e)
-                if pipelined
-                    && matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) && may_idle() =>
             {
                 continue;
             }
@@ -567,27 +645,62 @@ fn read_rest_of_frame(reader: &mut TcpStream) -> Result<Vec<u8>, ServeError> {
     Ok(payload)
 }
 
+/// Lifts an untagged v2 submission onto the tagged job path: job 0 at
+/// [`DEFAULT_PRIORITY`] with no deadline.
+fn untagged_job(frame_tag: u8, payload: &[u8]) -> Result<JobSubmit, ServeError> {
+    let (digest, trace_bytes, kind) = match frame_tag {
+        tag::SUBMIT => {
+            let s = Submit::decode(payload)?;
+            (s.digest, s.trace_bytes, JobKind::Sim { spec: s.spec })
+        }
+        tag::SUBMIT_RANGE => {
+            let s = RangeSubmit::decode(payload)?;
+            let kind = JobKind::Range {
+                spec: s.spec,
+                first_op: s.first_op,
+                ops: s.ops,
+            };
+            (s.digest, s.trace_bytes, kind)
+        }
+        _ => {
+            let s = StatsSubmit::decode(payload)?;
+            (s.digest, s.trace_bytes, JobKind::Stats)
+        }
+    };
+    Ok(JobSubmit {
+        job_id: 0,
+        priority: DEFAULT_PRIORITY,
+        deadline_ms: 0,
+        digest,
+        trace_bytes,
+        kind,
+    })
+}
+
 fn connection_loop(
     reader: &mut TcpStream,
     writer: &ConnWriter,
     pending: &PendingMap,
     shared: &Arc<Shared>,
 ) -> Result<(), ServeError> {
-    // Whether this connection has spoken the v3 dialect yet (governs the
-    // idle-tolerance of `read_tag`).
+    // Whether this connection has spoken the v3 dialect yet.
     let mut pipelined = false;
     loop {
-        let Some(frame_tag) = read_tag(reader, pipelined)? else {
+        let may_idle = || pipelined || !pending.lock().unwrap().is_empty();
+        let Some(frame_tag) = read_tag(reader, may_idle)? else {
             return Ok(()); // clean EOF: the client is done
         };
-        let payload = match read_rest_of_frame(reader) {
+        let mut payload = match read_rest_of_frame(reader) {
             Ok(p) => p,
             Err(e) => {
                 send_error(writer, &e.to_string());
                 return Err(e);
             }
         };
-        if !matches!(frame_tag, tag::JOB_DATA | tag::JOB_DATA_END) {
+        if !matches!(
+            frame_tag,
+            tag::TRACE_DATA | tag::TRACE_END | tag::JOB_DATA | tag::JOB_DATA_END
+        ) {
             fpraker_telemetry::counter!("serve_requests_total").inc();
         }
         match frame_tag {
@@ -596,76 +709,69 @@ fn connection_loop(
                     send_error(writer, &e.to_string());
                     return Err(e);
                 }
-                let mut w = writer.lock().unwrap();
-                write_frame(&mut *w, tag::STATS_RESULT, &server_stats(shared).encode())?;
-                w.flush()?;
+                send_frame(writer, tag::STATS_RESULT, &server_stats(shared).encode())?;
             }
             tag::METRICS => {
                 if let Err(e) = protocol::decode_metrics_request(&payload) {
                     send_error(writer, &e.to_string());
                     return Err(e);
                 }
-                let mut w = writer.lock().unwrap();
-                write_frame(
-                    &mut *w,
+                send_frame(
+                    writer,
                     tag::METRICS_RESULT,
                     render_metrics(shared).as_bytes(),
                 )?;
-                w.flush()?;
             }
-            tag::SUBMIT => {
-                let submit = match Submit::decode(&payload) {
+            tag::SUBMIT | tag::SUBMIT_RANGE | tag::SUBMIT_STATS => {
+                let submit = match untagged_job(frame_tag, &payload) {
                     Ok(s) => s,
                     Err(e) => {
                         send_error(writer, &e.to_string());
                         return Err(e);
                     }
                 };
-                if let Err(e) = handle_job(reader, writer, shared, &submit) {
-                    send_error(writer, &e.to_string());
-                    return Err(e);
-                }
-            }
-            tag::SUBMIT_RANGE => {
-                let submit = match RangeSubmit::decode(&payload) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        send_error(writer, &e.to_string());
-                        return Err(e);
-                    }
-                };
-                if let Err(e) = handle_range_job(reader, writer, shared, &submit) {
-                    send_error(writer, &e.to_string());
-                    return Err(e);
-                }
-            }
-            tag::SUBMIT_STATS => {
-                let submit = match StatsSubmit::decode(&payload) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        send_error(writer, &e.to_string());
-                        return Err(e);
-                    }
-                };
-                if let Err(e) = handle_stats_job(reader, writer, shared, &submit) {
-                    send_error(writer, &e.to_string());
-                    return Err(e);
-                }
+                dispatch_job(writer, pending, shared, submit, Dialect::V2)?;
             }
             tag::SUBMIT_JOB => {
                 pipelined = true;
-                dispatch_tagged_job(writer, pending, shared, &payload)?;
-            }
-            tag::JOB_DATA | tag::JOB_DATA_END => {
-                // Undecodable routing info is a connection-level error;
-                // chunks for an id with no pending job (it already failed
-                // or finished) are stale and silently discarded.
-                let (job_id, chunk) = match protocol::split_job_payload(&payload) {
-                    Ok(split) => split,
+                let submit = match JobSubmit::decode(&payload) {
+                    Ok(s) => s,
+                    // Attribute the failure to its job when the id is
+                    // readable (magic intact, payload long enough), so one
+                    // malformed submission cannot kill the other jobs on
+                    // the wire. The id sits right after the 5-byte
+                    // preamble.
+                    Err(e) if payload.len() >= 13 && payload[..4] == *protocol::PROTOCOL_MAGIC => {
+                        let job_id = u64::from_le_bytes(payload[5..13].try_into().unwrap());
+                        Replies {
+                            writer: Arc::clone(writer),
+                            job_id,
+                            dialect: Dialect::V3,
+                        }
+                        .fail(job_error::GENERIC, &e.to_string());
+                        continue;
+                    }
                     Err(e) => {
                         send_error(writer, &e.to_string());
                         return Err(e);
                     }
+                };
+                dispatch_job(writer, pending, shared, submit, Dialect::V3)?;
+            }
+            tag::TRACE_DATA | tag::TRACE_END | tag::JOB_DATA | tag::JOB_DATA_END => {
+                // v2 upload frames belong to job 0. Undecodable routing
+                // info is a connection-level error; chunks for an id with
+                // no pending job (it already failed or finished) are stale
+                // and silently discarded.
+                let job_id = match frame_tag {
+                    tag::TRACE_DATA | tag::TRACE_END => 0,
+                    _ => match protocol::split_job_payload(&payload) {
+                        Ok((job_id, _)) => job_id,
+                        Err(e) => {
+                            send_error(writer, &e.to_string());
+                            return Err(e);
+                        }
+                    },
                 };
                 let sender = pending
                     .lock()
@@ -673,11 +779,16 @@ fn connection_loop(
                     .get(&job_id)
                     .map(|job| job.data.clone());
                 if let Some(sender) = sender {
-                    fpraker_telemetry::counter!("serve_bytes_in_total").add(chunk.len() as u64);
-                    let msg = if frame_tag == tag::JOB_DATA {
-                        UploadMsg::Data(chunk.to_vec())
-                    } else {
-                        UploadMsg::End
+                    let msg = match frame_tag {
+                        tag::TRACE_DATA | tag::JOB_DATA => {
+                            if frame_tag == tag::JOB_DATA {
+                                payload.drain(..8); // the job id
+                            }
+                            fpraker_telemetry::counter!("serve_bytes_in_total")
+                                .add(payload.len() as u64);
+                            UploadMsg::Data(payload)
+                        }
+                        _ => UploadMsg::End,
                     };
                     // A dropped receiver means the job already died; its
                     // remaining upload is discarded frame by frame.
@@ -709,105 +820,92 @@ fn connection_loop(
     }
 }
 
-/// What a tagged job will do once it holds a permit — the spec-resolution
-/// half of dispatch, done on the read loop so an unknown spec fails fast.
-enum TaggedWork {
+/// What a job will do once it holds a permit — the spec-resolution half
+/// of dispatch, done on the read loop so an unknown spec fails fast.
+enum JobWork {
+    /// A simulation. A segment-range job declares its op count, and its
+    /// self-contained sub-trace must decode to exactly that many ops (a
+    /// coordinator that mislabels a shard gets an error, not a silently
+    /// misaligned merge). The range itself stays out of the cache key:
+    /// identical shard bytes are the same work wherever they sit.
     Sim {
         machine: Machine,
         cfg: AcceleratorConfig,
         spec: String,
+        declared_ops: Option<u64>,
     },
-    Range {
-        machine: Machine,
-        cfg: AcceleratorConfig,
-        spec: String,
-        declared_ops: u64,
-    },
+    /// The single-pass [`TraceStatistics`] collector instead of the
+    /// engine — the Fig. 1/2/6 figures served as infrastructure.
     Stats,
 }
 
-impl TaggedWork {
+impl JobWork {
     fn label(&self) -> &'static str {
         match self {
-            TaggedWork::Sim { .. } => "sim",
-            TaggedWork::Range { .. } => "range",
-            TaggedWork::Stats => "stats",
+            JobWork::Sim {
+                declared_ops: None, ..
+            } => "sim",
+            JobWork::Sim { .. } => "range",
+            JobWork::Stats => "stats",
         }
     }
 
-    fn result_tag(&self) -> u8 {
-        match self {
-            TaggedWork::Stats => tag::JOB_STATS_RESULT,
-            _ => tag::JOB_RESULT,
+    fn is_stats(&self) -> bool {
+        matches!(self, JobWork::Stats)
+    }
+
+    /// Folds the streamed upload into the job's deterministic payload.
+    fn run(&self, shared: &Shared, source: &mut dyn TraceSource) -> Result<Vec<u8>, ServeError> {
+        let JobWork::Sim {
+            machine,
+            cfg,
+            spec,
+            declared_ops,
+        } = self
+        else {
+            let stats = TraceStatistics::from_source(source, Encoding::Canonical)?;
+            return Ok(TraceStatsReport::from_stats(&stats).encode());
+        };
+        let run = shared.engine.run_source(*machine, source, cfg)?;
+        if let Some(declared) = *declared_ops {
+            if run.result.ops.len() as u64 != declared {
+                return Err(ServeError::Protocol(format!(
+                    "range submission declared {declared} ops but the sub-trace carries {}",
+                    run.result.ops.len()
+                )));
+            }
         }
+        Ok(protocol::encode_result(
+            spec,
+            &run.result,
+            run.peak_resident_ops as u64,
+            &shared.energy,
+        ))
     }
 }
 
-/// Sends a `{job_id, cached, payload}` response frame for a tagged job.
-fn send_tagged_result(
-    writer: &ConnWriter,
-    result_tag: u8,
-    job_id: u64,
-    cached: bool,
-    payload: &[u8],
-) -> Result<(), ServeError> {
-    let mut framed = Vec::with_capacity(9 + payload.len());
-    framed.extend_from_slice(&job_id.to_le_bytes());
-    framed.push(u8::from(cached));
-    framed.extend_from_slice(payload);
-    let mut w = writer.lock().unwrap();
-    write_frame(&mut *w, result_tag, &framed)?;
-    w.flush()?;
-    fpraker_telemetry::counter!("serve_bytes_out_total").add(5 + framed.len() as u64);
-    Ok(())
-}
-
-/// Sends a job-tagged error frame (best-effort): only the job dies, the
-/// connection lives on.
-fn send_job_error(writer: &ConnWriter, job_id: u64, code: u8, message: &str) {
-    let mut w = writer.lock().unwrap();
-    let _ = write_frame(
-        &mut *w,
-        tag::JOB_ERROR,
-        &protocol::encode_job_error(job_id, code, message),
-    );
-    let _ = w.flush();
-}
-
-/// Handles one [`tag::SUBMIT_JOB`] frame on the read loop: parse, resolve
-/// the spec, answer cache hits inline, refuse with `BUSY` when saturated,
-/// otherwise register the job and hand it to its own thread. Never
-/// returns an error for job-level failures — those become [`tag::JOB_ERROR`]
-/// frames — only for a dead socket.
-fn dispatch_tagged_job(
+/// Handles one submission on the read loop, whichever dialect it arrived
+/// in: resolve the spec, answer cache hits inline, refuse a saturated v3
+/// job with `BUSY`, otherwise register the job and hand it to its own
+/// thread. Job-level failures become [`Replies::fail`] frames; only a dead
+/// socket is an error.
+fn dispatch_job(
     writer: &ConnWriter,
     pending: &PendingMap,
     shared: &Arc<Shared>,
-    payload: &[u8],
+    submit: JobSubmit,
+    dialect: Dialect,
 ) -> Result<(), ServeError> {
-    let submit = match JobSubmit::decode(payload) {
-        Ok(s) => s,
-        Err(e) => {
-            // Attribute the failure to its job when the id is readable
-            // (magic intact, payload long enough), so one malformed
-            // submission cannot kill the other jobs on the wire. The id
-            // sits right after the 5-byte preamble.
-            if payload.len() >= 13 && payload[..4] == *protocol::PROTOCOL_MAGIC {
-                let job_id = u64::from_le_bytes(payload[5..13].try_into().unwrap());
-                send_job_error(writer, job_id, job_error::GENERIC, &e.to_string());
-                return Ok(());
-            }
-            send_error(writer, &e.to_string());
-            return Err(e);
-        }
-    };
     let job_id = submit.job_id;
+    let replies = Replies {
+        writer: Arc::clone(writer),
+        job_id,
+        dialect,
+    };
     let (key, work) = match &submit.kind {
         JobKind::Sim { spec } | JobKind::Range { spec, .. } => {
             let Some((machine, cfg)) = resolve_machine(spec) else {
-                send_job_error(
-                    writer,
-                    job_id,
+                replies.fail(
                     job_error::GENERIC,
                     &format!(
                         "unknown machine spec {:?} (known: {})",
@@ -818,41 +916,34 @@ fn dispatch_tagged_job(
                 return Ok(());
             };
             let key = CacheKey::new(submit.digest, spec);
-            let spec = key.spec.clone();
-            let work = match &submit.kind {
-                JobKind::Range { ops, .. } => TaggedWork::Range {
-                    machine,
-                    cfg,
-                    spec,
-                    declared_ops: *ops,
+            let work = JobWork::Sim {
+                machine,
+                cfg,
+                spec: key.spec.clone(),
+                declared_ops: match submit.kind {
+                    JobKind::Range { ops, .. } => Some(ops),
+                    _ => None,
                 },
-                _ => TaggedWork::Sim { machine, cfg, spec },
             };
             (key, work)
         }
-        JobKind::Stats => (CacheKey::new(submit.digest, STATS_SPEC), TaggedWork::Stats),
+        JobKind::Stats => (CacheKey::new(submit.digest, STATS_SPEC), JobWork::Stats),
     };
 
     // Warm answers never touch the pool: reply straight from the read
     // loop and move on to the next frame.
     if let Some(hit) = shared.cache.get(&key) {
         request_histogram(work.label(), true).record(0);
-        return send_tagged_result(writer, work.result_tag(), job_id, true, &hit);
+        return replies.result(work.is_stats(), true, &hit);
     }
 
-    // Explicit backpressure: a saturated pool refuses instead of queueing
-    // silently. The client sees BUSY and retries after the hint.
-    if shared.queue.saturated(shared.queue_depth) {
+    // Explicit backpressure: a saturated pool refuses a v3 job instead of
+    // queueing it silently. The client sees BUSY and retries after the
+    // hint.
+    if dialect == Dialect::V3 && shared.queue.saturated(shared.queue_depth) {
         shared.busy_rejections.fetch_add(1, Ordering::SeqCst);
-        fpraker_telemetry::counter!("serve_busy_rejections_total").inc();
-        let mut w = writer.lock().unwrap();
-        write_frame(
-            &mut *w,
-            tag::BUSY,
-            &protocol::encode_busy(job_id, shared.busy_retry_ms),
-        )?;
-        w.flush()?;
-        return Ok(());
+        let busy = protocol::encode_busy(job_id, shared.busy_retry_ms);
+        return send_frame(writer, tag::BUSY, &busy);
     }
 
     let cancel = Arc::new(AtomicBool::new(false));
@@ -861,9 +952,7 @@ fn dispatch_tagged_job(
         let mut map = pending.lock().unwrap();
         if map.contains_key(&job_id) {
             drop(map);
-            send_job_error(
-                writer,
-                job_id,
+            replies.fail(
                 job_error::GENERIC,
                 &format!("job id {job_id} is already in flight on this connection"),
             );
@@ -878,48 +967,60 @@ fn dispatch_tagged_job(
         );
     }
 
-    let writer = Arc::clone(writer);
     let pending = Arc::clone(pending);
     let shared = Arc::clone(shared);
     std::thread::spawn(move || {
-        run_tagged_job(&writer, &shared, &submit, key, work, data_rx, &cancel);
-        pending.lock().unwrap().remove(&submit.job_id);
+        let outcome = run_job(&replies, &shared, &submit, key, &work, data_rx, &cancel);
+        finish_job(&pending, &replies, work.is_stats(), outcome);
     });
     Ok(())
 }
 
-/// The job-thread half of a tagged job: queue (with priority, deadline
-/// and cancellation), re-check the cache, pull the upload through its
-/// channel, simulate, cache and answer. All failures are job-scoped.
-fn run_tagged_job(
-    writer: &ConnWriter,
+/// A job's final outcome: `(cached, payload)`, or a job-error code and
+/// message.
+type JobOutcome = Result<(bool, Arc<Vec<u8>>), (u8, String)>;
+
+/// Retires a finished job from its connection's pending map, then sends
+/// its final reply — in that order: a client holding its answer may reuse
+/// the id at once (every v2 job on a connection is job 0), so the id must
+/// be free before the reply goes out.
+fn finish_job(pending: &PendingMap, replies: &Replies, stats: bool, outcome: JobOutcome) {
+    pending.lock().unwrap().remove(&replies.job_id);
+    match outcome {
+        Ok((cached, payload)) => {
+            let _ = replies.result(stats, cached, &payload);
+        }
+        Err((code, message)) => replies.fail(code, &message),
+    }
+}
+
+/// The job-thread half of a job: queue (with priority, deadline and
+/// cancellation), re-check the cache (another job for the same content may
+/// have finished while this one waited), pull the upload through its
+/// channel, simulate and cache. All failures are job-scoped.
+fn run_job(
+    replies: &Replies,
     shared: &Shared,
     submit: &JobSubmit,
     key: CacheKey,
-    work: TaggedWork,
+    work: &JobWork,
     data_rx: mpsc::Receiver<UploadMsg>,
     cancel: &AtomicBool,
-) {
+) -> JobOutcome {
     let started = Instant::now();
     let deadline = (submit.deadline_ms > 0)
         .then(|| started + Duration::from_millis(u64::from(submit.deadline_ms)));
     match shared.queue.acquire(submit.priority, deadline, cancel) {
         Acquire::Cancelled => {
             shared.jobs_cancelled.fetch_add(1, Ordering::SeqCst);
-            fpraker_telemetry::counter!("serve_jobs_cancelled_total").inc();
-            send_job_error(writer, submit.job_id, job_error::CANCELLED, "cancelled");
-            return;
+            return Err((job_error::CANCELLED, "cancelled".into()));
         }
         Acquire::DeadlineExpired => {
             shared.jobs_deadline_expired.fetch_add(1, Ordering::SeqCst);
-            fpraker_telemetry::counter!("serve_jobs_deadline_expired_total").inc();
-            send_job_error(
-                writer,
-                submit.job_id,
+            return Err((
                 job_error::DEADLINE,
-                &format!("deadline of {} ms expired while queued", submit.deadline_ms),
-            );
-            return;
+                format!("deadline of {} ms expired while queued", submit.deadline_ms),
+            ));
         }
         Acquire::Acquired => {}
     }
@@ -927,62 +1028,19 @@ fn run_tagged_job(
     if let Some(hit) = shared.cache.recheck(&key) {
         drop(permit);
         request_histogram(work.label(), true).record_duration(started.elapsed());
-        let _ = send_tagged_result(writer, work.result_tag(), submit.job_id, true, &hit);
-        return;
+        return Ok((true, hit));
     }
-    let outcome = (|| -> Result<Vec<u8>, ServeError> {
-        {
-            let mut w = writer.lock().unwrap();
-            write_frame(&mut *w, tag::JOB_NEED_TRACE, &submit.job_id.to_le_bytes())?;
-            w.flush()?;
-        }
+    let outcome = replies.need_trace().and_then(|()| {
         let mut body = ChannelBody::new(data_rx, shared.io_timeout);
-        run_upload(
-            &mut body,
-            submit.trace_bytes,
-            submit.digest,
-            |source| match &work {
-                TaggedWork::Sim { machine, cfg, spec } => {
-                    let run = shared.engine.run_source(*machine, source, cfg)?;
-                    Ok(protocol::encode_result(
-                        spec,
-                        &run.result,
-                        run.peak_resident_ops as u64,
-                        &shared.energy,
-                    ))
-                }
-                TaggedWork::Range {
-                    machine,
-                    cfg,
-                    spec,
-                    declared_ops,
-                } => {
-                    let run = shared.engine.run_source(*machine, source, cfg)?;
-                    if run.result.ops.len() as u64 != *declared_ops {
-                        return Err(ServeError::Protocol(format!(
-                            "range submission declared {declared_ops} ops but the \
-                             sub-trace carries {}",
-                            run.result.ops.len()
-                        )));
-                    }
-                    Ok(protocol::encode_result(
-                        spec,
-                        &run.result,
-                        run.peak_resident_ops as u64,
-                        &shared.energy,
-                    ))
-                }
-                TaggedWork::Stats => {
-                    let stats = TraceStatistics::from_source(source, Encoding::Canonical)?;
-                    Ok(TraceStatsReport::from_stats(&stats).encode())
-                }
-            },
-        )
-    })();
+        run_upload(&mut body, submit.trace_bytes, submit.digest, |source| {
+            work.run(shared, source)
+        })
+    });
     // Cache-insert while the permit is still held (the next waiter's
-    // re-check is what makes racing duplicates exactly-once), but send
+    // re-check is what makes racing duplicates exactly-once), but reply
     // after release, so a client holding its result never observes the
-    // job still in flight.
+    // job still in flight. The latency sample lands before the reply, so a
+    // client that asks for METRICS next sees its own request.
     let outcome = outcome.map(|payload| {
         let payload = Arc::new(payload);
         shared.cache.insert(key, Arc::clone(&payload));
@@ -993,11 +1051,9 @@ fn run_tagged_job(
     match outcome {
         Ok(payload) => {
             request_histogram(work.label(), false).record_duration(started.elapsed());
-            let _ = send_tagged_result(writer, work.result_tag(), submit.job_id, false, &payload);
+            Ok((false, payload))
         }
-        Err(e) => {
-            send_job_error(writer, submit.job_id, job_error::GENERIC, &e.to_string());
-        }
+        Err(e) => Err((job_error::GENERIC, e.to_string())),
     }
 }
 
@@ -1005,8 +1061,8 @@ fn run_tagged_job(
 /// against the declared length/digest: frames → body → [`codec::Reader`]
 /// (which hashes every byte it consumes) → `work`, then drain and
 /// validate any index footer.
-fn run_upload<B: UploadBody>(
-    body: &mut B,
+fn run_upload(
+    body: &mut ChannelBody,
     declared_bytes: u64,
     declared_digest: u64,
     work: impl FnOnce(&mut dyn TraceSource) -> Result<Vec<u8>, ServeError>,
@@ -1077,310 +1133,13 @@ fn check_upload(
     Ok(())
 }
 
-/// Replays a payload as a `{cached, payload}` frame under the given tag
-/// ([`tag::RESULT`] for simulations, [`tag::TRACE_STATS_RESULT`] for
-/// statistics jobs).
-fn send_result(
-    writer: &ConnWriter,
-    result_tag: u8,
-    cached: bool,
-    payload: &[u8],
-) -> Result<(), ServeError> {
-    let mut framed = Vec::with_capacity(1 + payload.len());
-    framed.push(u8::from(cached));
-    framed.extend_from_slice(payload);
-    let mut w = writer.lock().unwrap();
-    write_frame(&mut *w, result_tag, &framed)?;
-    w.flush()?;
-    // Frame header (tag + u32 length) plus payload.
-    fpraker_telemetry::counter!("serve_bytes_out_total").add(5 + framed.len() as u64);
-    Ok(())
-}
-
-/// The shared lifecycle of every untagged (v2) content-addressed job
-/// (simulation or statistics): cache hit → answer; miss → take a job
-/// slot, re-check the cache (another job for the same content may have
-/// finished while we waited; with `jobs` permits up to `jobs` racing
-/// clients can still slip past — a bounded duplication, never a
-/// correctness issue since payloads are deterministic), ask for the
-/// upload, fold it through `work`, drain and validate any index footer,
-/// verify the declared length/digest, and cache + send the deterministic
-/// payload. Serial semantics: the connection thread carries the job end
-/// to end, exactly the v2 contract.
-#[allow(clippy::too_many_arguments)]
-fn serve_content_job(
-    reader: &mut TcpStream,
-    writer: &ConnWriter,
-    shared: &Shared,
-    key: CacheKey,
-    result_tag: u8,
-    job: &'static str,
-    declared_bytes: u64,
-    declared_digest: u64,
-    work: impl FnOnce(&mut dyn TraceSource) -> Result<Vec<u8>, ServeError>,
-) -> Result<(), ServeError> {
-    let started = fpraker_telemetry::enabled().then(Instant::now);
-    // The latency sample lands *before* the result bytes go out, so a
-    // client that reads its response and immediately asks for METRICS
-    // sees its own request in the histograms.
-    let finish = |cached: bool| {
-        if let Some(t) = started {
-            request_histogram(job, cached).record_duration(t.elapsed());
-        }
-    };
-    if let Some(hit) = shared.cache.get(&key) {
-        finish(true);
-        return send_result(writer, result_tag, true, &hit);
-    }
-    let never_cancelled = AtomicBool::new(false);
-    match shared
-        .queue
-        .acquire(DEFAULT_PRIORITY, None, &never_cancelled)
-    {
-        Acquire::Acquired => {}
-        // No deadline and no cancel flag: the queue cannot refuse.
-        other => unreachable!("untagged acquire ended {other:?}"),
-    }
-    let permit = JobPermit::held(shared);
-    if let Some(hit) = shared.cache.recheck(&key) {
-        drop(permit);
-        finish(true);
-        return send_result(writer, result_tag, true, &hit);
-    }
-    {
-        let mut w = writer.lock().unwrap();
-        write_frame(&mut *w, tag::NEED_TRACE, &[])?;
-        w.flush()?;
-    }
-
-    let mut body = BodyReader::new(reader);
-    let payload = run_upload(&mut body, declared_bytes, declared_digest, work)?;
-    let payload = Arc::new(payload);
-    // The insert must land while the permit is still held — the next
-    // waiter's post-permit re-check is what makes racing duplicates
-    // exactly-once. The *send* happens after release, so a client holding
-    // its result never observes the job still in flight.
-    shared.cache.insert(key, Arc::clone(&payload));
-    shared.jobs_completed.fetch_add(1, Ordering::SeqCst);
-    drop(permit);
-    finish(false);
-    send_result(writer, result_tag, false, &payload)
-}
-
-fn handle_job(
-    reader: &mut TcpStream,
-    writer: &ConnWriter,
-    shared: &Shared,
-    submit: &Submit,
-) -> Result<(), ServeError> {
-    let Some((machine, cfg)) = resolve_machine(&submit.spec) else {
-        return Err(ServeError::Protocol(format!(
-            "unknown machine spec {:?} (known: {})",
-            submit.spec,
-            fpraker_sim::machine_names().join(", ")
-        )));
-    };
-    let key = CacheKey::new(submit.digest, &submit.spec);
-    let spec = key.spec.clone();
-    serve_content_job(
-        reader,
-        writer,
-        shared,
-        key,
-        tag::RESULT,
-        "sim",
-        submit.trace_bytes,
-        submit.digest,
-        |source| {
-            let run = shared.engine.run_source(machine, source, &cfg)?;
-            Ok(protocol::encode_result(
-                &spec,
-                &run.result,
-                run.peak_resident_ops as u64,
-                &shared.energy,
-            ))
-        },
-    )
-}
-
-/// A segment-range job: identical to [`handle_job`] — same cache, same
-/// streaming decode, same deterministic payload — except the upload is a
-/// self-contained sub-trace of a sharded run, so the server additionally
-/// cross-checks that it decodes to exactly the declared op count (a
-/// coordinator that mislabels a shard gets an error, not a silently
-/// misaligned merge). The range itself stays out of the cache key:
-/// identical shard bytes are the same work wherever they sit.
-fn handle_range_job(
-    reader: &mut TcpStream,
-    writer: &ConnWriter,
-    shared: &Shared,
-    submit: &RangeSubmit,
-) -> Result<(), ServeError> {
-    let Some((machine, cfg)) = resolve_machine(&submit.spec) else {
-        return Err(ServeError::Protocol(format!(
-            "unknown machine spec {:?} (known: {})",
-            submit.spec,
-            fpraker_sim::machine_names().join(", ")
-        )));
-    };
-    let key = CacheKey::new(submit.digest, &submit.spec);
-    let spec = key.spec.clone();
-    let declared_ops = submit.ops;
-    serve_content_job(
-        reader,
-        writer,
-        shared,
-        key,
-        tag::RESULT,
-        "range",
-        submit.trace_bytes,
-        submit.digest,
-        |source| {
-            let run = shared.engine.run_source(machine, source, &cfg)?;
-            if run.result.ops.len() as u64 != declared_ops {
-                return Err(ServeError::Protocol(format!(
-                    "range submission declared {declared_ops} ops but the \
-                     sub-trace carries {}",
-                    run.result.ops.len()
-                )));
-            }
-            Ok(protocol::encode_result(
-                &spec,
-                &run.result,
-                run.peak_resident_ops as u64,
-                &shared.energy,
-            ))
-        },
-    )
-}
-
-/// A trace-statistics job: the same handshake and cache as a simulation
-/// job, but the upload is folded through the single-pass
-/// [`TraceStatistics`] collector instead of the engine — the Fig. 1/2/6
-/// figures served as infrastructure.
-fn handle_stats_job(
-    reader: &mut TcpStream,
-    writer: &ConnWriter,
-    shared: &Shared,
-    submit: &StatsSubmit,
-) -> Result<(), ServeError> {
-    serve_content_job(
-        reader,
-        writer,
-        shared,
-        CacheKey::new(submit.digest, STATS_SPEC),
-        tag::TRACE_STATS_RESULT,
-        "stats",
-        submit.trace_bytes,
-        submit.digest,
-        |source| {
-            let stats = TraceStatistics::from_source(source, Encoding::Canonical)?;
-            Ok(TraceStatsReport::from_stats(&stats).encode())
-        },
-    )
-}
-
-/// An upload byte stream the codec can decode incrementally, with a
-/// trailing-bytes check once the decoder is done. Implemented by the v2
-/// [`BodyReader`] (frames read straight off the socket) and the v3
-/// [`ChannelBody`] (frames routed from the connection's read loop).
-trait UploadBody: Read {
-    /// Confirms the upload ends exactly where the decoder stopped: any
-    /// unconsumed bytes are an immediate protocol error.
-    fn finish(&mut self) -> Result<(), ServeError>;
-}
-
-/// Reassembles `TRACE_DATA` frames into one [`io::Read`] stream (EOF at
-/// `TRACE_END`). Digest and length verification of the upload belong to
-/// the wrapping [`codec::Reader`], which hashes and counts every byte it
-/// consumes — once [`UploadBody::finish`] succeeds, the decoder saw the
-/// entire upload.
-struct BodyReader<'a> {
-    stream: &'a mut TcpStream,
-    buf: Vec<u8>,
-    pos: usize,
-    done: bool,
-}
-
-impl<'a> BodyReader<'a> {
-    fn new(stream: &'a mut TcpStream) -> Self {
-        BodyReader {
-            stream,
-            buf: Vec::new(),
-            pos: 0,
-            done: false,
-        }
-    }
-
-    /// Pulls the next data frame, returning `false` at `TRACE_END`.
-    fn next_frame(&mut self) -> io::Result<bool> {
-        debug_assert!(self.pos == self.buf.len() && !self.done);
-        loop {
-            let (frame_tag, payload) = read_frame(self.stream).map_err(|e| match e {
-                ServeError::Io(io) => io,
-                other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-            })?;
-            match frame_tag {
-                tag::TRACE_DATA => {
-                    if payload.is_empty() {
-                        continue; // tolerate empty chunks
-                    }
-                    fpraker_telemetry::counter!("serve_bytes_in_total").add(payload.len() as u64);
-                    self.buf = payload;
-                    self.pos = 0;
-                    return Ok(true);
-                }
-                tag::TRACE_END => {
-                    self.done = true;
-                    return Ok(false);
-                }
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unexpected frame tag {other:#04x} inside a trace upload"),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-impl UploadBody for BodyReader<'_> {
-    /// The rest of a malformed upload is *not* read (a client streaming
-    /// surplus data cannot pin the connection); otherwise the closing
-    /// `TRACE_END` frame is consumed.
-    fn finish(&mut self) -> Result<(), ServeError> {
-        let trailing = |n: usize| {
-            Err(ServeError::Protocol(format!(
-                "at least {n} bytes after the declared trace"
-            )))
-        };
-        if self.pos < self.buf.len() {
-            return trailing(self.buf.len() - self.pos);
-        }
-        if !self.done && self.next_frame().map_err(ServeError::Io)? {
-            return trailing(self.buf.len());
-        }
-        Ok(())
-    }
-}
-
-impl Read for BodyReader<'_> {
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        if self.pos == self.buf.len() && (self.done || !self.next_frame()?) {
-            return Ok(0);
-        }
-        let n = out.len().min(self.buf.len() - self.pos);
-        out[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
-/// The v3 counterpart of [`BodyReader`]: upload chunks arrive through a
-/// bounded channel fed by the connection's read loop (routed by job id)
-/// instead of straight off the socket. EOF at the routed `JOB_DATA_END`;
-/// a dropped sender (the connection died) reads as a broken pipe.
+/// One job's upload as an [`io::Read`] stream the codec decodes
+/// incrementally: chunks arrive through a bounded channel fed by the
+/// connection's read loop (routed by job id). EOF at the routed end frame;
+/// a dropped sender (the connection died) reads as a broken pipe. Digest
+/// and length verification belong to the wrapping [`codec::Reader`], which
+/// hashes and counts every byte it consumes — once
+/// [`ChannelBody::finish`] succeeds, the decoder saw the entire upload.
 struct ChannelBody {
     rx: mpsc::Receiver<UploadMsg>,
     buf: Vec<u8>,
@@ -1400,7 +1159,7 @@ impl ChannelBody {
         }
     }
 
-    /// Pulls the next routed chunk, returning `false` at `JOB_DATA_END`.
+    /// Pulls the next routed chunk, returning `false` at the end frame.
     fn next_chunk(&mut self) -> io::Result<bool> {
         debug_assert!(self.pos == self.buf.len() && !self.done);
         loop {
@@ -1434,9 +1193,9 @@ impl ChannelBody {
             }
         }
     }
-}
 
-impl UploadBody for ChannelBody {
+    /// Confirms the upload ends exactly where the decoder stopped: any
+    /// unconsumed bytes are an immediate protocol error.
     fn finish(&mut self) -> Result<(), ServeError> {
         let trailing = |n: usize| {
             Err(ServeError::Protocol(format!(
@@ -1547,6 +1306,46 @@ mod tests {
         assert!(q.saturated(0), "no permit + depth 0 refuses immediately");
         assert!(!q.saturated(1), "depth 1 admits one waiter");
         q.release();
+    }
+
+    #[test]
+    fn a_finished_job_frees_its_id_before_its_reply_goes_out() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let writer: ConnWriter = Arc::new(Mutex::new(listener.accept().unwrap().0));
+        let pending: PendingMap = Arc::default();
+        let (data, _rx) = mpsc::sync_channel(1);
+        pending.lock().unwrap().insert(
+            0,
+            PendingJob {
+                data,
+                cancel: Arc::default(),
+            },
+        );
+        let replies = Replies {
+            writer: Arc::clone(&writer),
+            job_id: 0,
+            dialect: Dialect::V2,
+        };
+        // Hold the write half, so the reply cannot go out yet: job 0 must
+        // already be free while it waits.
+        let held = writer.lock().unwrap();
+        std::thread::scope(|scope| {
+            let outcome = Ok((false, Arc::new(vec![7u8; 3])));
+            let finishing = scope.spawn(|| finish_job(&pending, &replies, false, outcome));
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while pending.lock().unwrap().contains_key(&0) {
+                assert!(
+                    Instant::now() < deadline,
+                    "job 0 still pending at its reply"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            drop(held);
+            finishing.join().unwrap();
+        });
+        let (frame_tag, payload) = protocol::read_frame(&mut peer).unwrap();
+        assert_eq!((frame_tag, payload), (tag::RESULT, vec![0, 7, 7, 7]));
     }
 
     #[test]

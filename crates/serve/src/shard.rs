@@ -52,7 +52,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use fpraker_energy::{EnergyModel, EventCounts};
-use fpraker_sim::{resolve_machine, Machine};
+use fpraker_sim::resolve_machine;
 use fpraker_trace::codec::IndexedReader;
 use fpraker_trace::{group_segments, DecodeError};
 
@@ -600,10 +600,7 @@ pub fn merge_job_results(
     // The one float in the result, derived exactly as the server derives
     // it: the energy model applied once to the integer count totals.
     let model = EnergyModel::paper();
-    merged.energy_pj = match machine {
-        Machine::FpRaker => model.fpraker_energy(&counts).total_pj(),
-        Machine::Baseline => model.baseline_energy(&counts).total_pj(),
-    };
+    merged.energy_pj = machine.energy(&model, &counts).total_pj();
     Ok(merged)
 }
 

@@ -11,11 +11,11 @@ use std::time::{Duration, Instant};
 use fpraker_num::reference::SplitMix64;
 use fpraker_num::Bf16;
 use fpraker_serve::protocol::{
-    decode_job_error, job_error, read_frame, split_job_payload, tag, write_frame, JobKind,
-    JobSubmit, ServerStats, PROTOCOL_MAGIC,
+    decode_job_error, decode_result, job_error, read_frame, split_job_payload, tag, write_frame,
+    JobKind, JobSubmit, RangeSubmit, ServerStats, StatsSubmit, Submit, PROTOCOL_MAGIC, TRACE_CHUNK,
 };
 use fpraker_serve::{
-    Client, JobOptions, PipelinedConnection, ServeError, Server, ServerConfig, ShardPlan,
+    JobOptions, PipelinedConnection, ServeError, Server, ServerConfig, ShardPlan, TraceStatsReport,
 };
 use fpraker_sim::{resolve_machine, Engine, Machine};
 use fpraker_trace::digest::Fnv64;
@@ -80,6 +80,66 @@ fn wait_for_stats(server: &Server, what: &str, f: impl Fn(&ServerStats) -> bool)
         );
         std::thread::sleep(Duration::from_millis(1));
     }
+}
+
+/// A raw v2 client: one untagged job on `stream`. Sends the submit header
+/// under `submit_tag`, uploads `bytes` in `chunk`-byte `TRACE_DATA` frames
+/// if the server asks for the trace, and returns the `{cached, payload}`
+/// reply, which must arrive under `result_tag`.
+fn v2_job(
+    stream: &mut TcpStream,
+    submit_tag: u8,
+    header: &[u8],
+    bytes: &[u8],
+    chunk: usize,
+    result_tag: u8,
+) -> (bool, Vec<u8>) {
+    write_frame(stream, submit_tag, header).unwrap();
+    stream.flush().unwrap();
+    let (mut reply_tag, mut reply) = read_frame(stream).unwrap();
+    if reply_tag == tag::NEED_TRACE {
+        for piece in bytes.chunks(chunk) {
+            write_frame(stream, tag::TRACE_DATA, piece).unwrap();
+        }
+        write_frame(stream, tag::TRACE_END, &[]).unwrap();
+        stream.flush().unwrap();
+        (reply_tag, reply) = read_frame(stream).unwrap();
+    }
+    assert_eq!(
+        reply_tag,
+        result_tag,
+        "v2 reply: {:?}",
+        String::from_utf8_lossy(&reply)
+    );
+    let cached = reply.remove(0) != 0;
+    (cached, reply)
+}
+
+/// A v2 `SUBMIT` of `bytes` on `stream`: `(cached, decoded result)`.
+fn v2_submit(stream: &mut TcpStream, bytes: &[u8]) -> (bool, fpraker_serve::JobResult) {
+    let header = Submit {
+        spec: "fpraker".into(),
+        digest: Fnv64::digest_of(bytes),
+        trace_bytes: bytes.len() as u64,
+    }
+    .encode();
+    let (cached, payload) = v2_job(
+        stream,
+        tag::SUBMIT,
+        &header,
+        bytes,
+        TRACE_CHUNK,
+        tag::RESULT,
+    );
+    (cached, decode_result(&payload).unwrap())
+}
+
+/// Reads the value of one unlabelled sample line out of Prometheus text.
+fn metric(text: &str, name: &str) -> Option<u64> {
+    text.lines().find_map(|line| {
+        let (n, v) = line.split_once(' ')?;
+        (n == name).then(|| v.parse().unwrap())
+    })
 }
 
 #[test]
@@ -162,17 +222,18 @@ fn v2_clients_interoperate_and_unknown_versions_are_rejected() {
     let trace = test_trace(41, 2);
     let bytes = codec::encode(&trace).to_vec();
 
-    // A v2 client and a v3 pipelined connection share the server — and
-    // the content-addressed cache.
-    let client = Client::connect(server.local_addr()).unwrap();
-    let cold = client.submit_encoded(&bytes, "fpraker").unwrap();
-    assert!(!cold.cached);
+    // A raw v2 client and a v3 pipelined connection share the server —
+    // and the content-addressed cache.
+    let mut v2 = TcpStream::connect(server.local_addr()).unwrap();
+    let (cold_cached, cold) = v2_submit(&mut v2, &bytes);
+    assert!(!cold_cached);
     let conn = PipelinedConnection::connect(server.local_addr()).unwrap();
     let warm = conn
         .submit_encoded(&bytes, "fpraker", JobOptions::default())
         .unwrap();
     assert!(warm.cached, "the v3 job hits the cache the v2 job filled");
-    assert_eq!(warm.result, cold.result);
+    assert_eq!(warm.result, cold);
+    assert_eq!(server.stats().jobs_completed, 1, "one simulation for both");
 
     // An untagged submit stamped with an unknown future version is
     // rejected on its connection...
@@ -479,7 +540,7 @@ fn range_and_stats_jobs_ride_the_tagged_pipeline() {
         ..ServerConfig::default()
     });
     let conn = PipelinedConnection::connect(server.local_addr()).unwrap();
-    let client = Client::connect(server.local_addr()).unwrap();
+    let mut v2 = TcpStream::connect(server.local_addr()).unwrap();
     let trace = test_trace(90, 6);
     let mut indexed = Vec::new();
     {
@@ -510,24 +571,47 @@ fn range_and_stats_jobs_ride_the_tagged_pipeline() {
         )
         .unwrap();
     assert!(!tagged.cached);
-    let legacy = client
-        .submit_range_encoded(
-            &sub,
-            "fpraker",
-            u64::from(range.first_op),
-            u64::from(range.ops),
-        )
-        .unwrap();
-    assert!(legacy.cached, "the v2 resubmission hits the cache");
-    assert_eq!(tagged.result, legacy.result);
+    let header = RangeSubmit {
+        spec: "fpraker".into(),
+        digest: Fnv64::digest_of(&sub),
+        trace_bytes: sub.len() as u64,
+        first_op: u64::from(range.first_op),
+        ops: u64::from(range.ops),
+    }
+    .encode();
+    let (cached, legacy) = v2_job(
+        &mut v2,
+        tag::SUBMIT_RANGE,
+        &header,
+        &sub,
+        TRACE_CHUNK,
+        tag::RESULT,
+    );
+    assert!(cached, "the v2 resubmission hits the cache");
+    assert_eq!(tagged.result, decode_result(&legacy).unwrap());
 
     // A tagged stats job equals the v2 stats submission.
     let plain = codec::encode(&trace).to_vec();
     let tagged_stats = conn.submit_stats_encoded(&plain).unwrap();
     assert!(!tagged_stats.cached);
-    let legacy_stats = client.submit_stats_encoded(&plain).unwrap();
-    assert!(legacy_stats.cached);
-    assert_eq!(tagged_stats.report, legacy_stats.report);
+    let header = StatsSubmit {
+        digest: Fnv64::digest_of(&plain),
+        trace_bytes: plain.len() as u64,
+    }
+    .encode();
+    let (cached, legacy_stats) = v2_job(
+        &mut v2,
+        tag::SUBMIT_STATS,
+        &header,
+        &plain,
+        TRACE_CHUNK,
+        tag::TRACE_STATS_RESULT,
+    );
+    assert!(cached);
+    assert_eq!(
+        tagged_stats.report,
+        TraceStatsReport::decode(&legacy_stats).unwrap()
+    );
     server.shutdown();
 }
 
@@ -624,4 +708,243 @@ fn a_restarted_server_answers_from_the_disk_cache_without_resimulating() {
     drop(conn);
     second.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn back_to_back_v2_jobs_share_one_raw_connection() {
+    // Every v2 job on a connection is job 0, so the server must retire
+    // job 0 before its reply goes out: a v2 client that submits again the
+    // moment it reads a reply must never race a still-pending job 0.
+    let server = start_server(ServerConfig {
+        jobs: 1,
+        ..ServerConfig::default()
+    });
+    let mut v2 = TcpStream::connect(server.local_addr()).unwrap();
+    let (_, cfg) = resolve_machine("fpraker").unwrap();
+    for seed in 0..8 {
+        let trace = test_trace(300 + seed, 2);
+        let bytes = codec::encode(&trace).to_vec();
+        let (cached, result) = v2_submit(&mut v2, &bytes);
+        assert!(!cached, "job {seed} was cold");
+        let local = Engine::with_threads(1).run(Machine::FpRaker, &trace, &cfg);
+        assert_eq!(result.cycles, local.cycles(), "job {seed}");
+    }
+    // The other job kinds ride the same connection, back to back.
+    let bytes = codec::encode(&test_trace(300, 2)).to_vec();
+    let header = StatsSubmit {
+        digest: Fnv64::digest_of(&bytes),
+        trace_bytes: bytes.len() as u64,
+    }
+    .encode();
+    let (cached, _) = v2_job(
+        &mut v2,
+        tag::SUBMIT_STATS,
+        &header,
+        &bytes,
+        TRACE_CHUNK,
+        tag::TRACE_STATS_RESULT,
+    );
+    assert!(!cached);
+    let (cached, _) = v2_submit(&mut v2, &bytes);
+    assert!(cached, "the first job's result is warm");
+    assert_eq!(server.stats().jobs_completed, 9);
+    server.shutdown();
+}
+
+#[test]
+fn queued_v2_jobs_outlast_the_io_timeout_but_silent_v2_connections_do_not() {
+    let io_timeout = Duration::from_millis(300);
+    let server = start_server(ServerConfig {
+        jobs: 1,
+        io_timeout: Some(io_timeout),
+        ..ServerConfig::default()
+    });
+    let blocker_bytes = codec::encode(&test_trace(310, 8)).to_vec();
+    let queued_bytes = codec::encode(&test_trace(311, 2)).to_vec();
+
+    // A tagged blocker takes the lone permit, then trickles its upload so
+    // it holds the permit for well over the io timeout.
+    let mut blocker = TcpStream::connect(server.local_addr()).unwrap();
+    let header = JobSubmit {
+        job_id: 1,
+        priority: 100,
+        deadline_ms: 0,
+        digest: Fnv64::digest_of(&blocker_bytes),
+        trace_bytes: blocker_bytes.len() as u64,
+        kind: JobKind::Sim {
+            spec: "fpraker".into(),
+        },
+    };
+    write_frame(&mut blocker, tag::SUBMIT_JOB, &header.encode()).unwrap();
+    blocker.flush().unwrap();
+    assert_eq!(read_frame(&mut blocker).unwrap().0, tag::JOB_NEED_TRACE);
+
+    // A v2 job queues behind it, on a connection that then stays silent.
+    let mut v2 = TcpStream::connect(server.local_addr()).unwrap();
+    v2.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let queued = std::thread::spawn(move || v2_submit(&mut v2, &queued_bytes));
+    wait_for_stats(&server, "the v2 job to queue", |s| s.jobs_queued == 1);
+
+    let trickle = Instant::now();
+    for piece in blocker_bytes.chunks(blocker_bytes.len().div_ceil(8)) {
+        let mut payload = 1u64.to_le_bytes().to_vec();
+        payload.extend_from_slice(piece);
+        write_frame(&mut blocker, tag::JOB_DATA, &payload).unwrap();
+        blocker.flush().unwrap();
+        std::thread::sleep(io_timeout / 3);
+    }
+    write_frame(&mut blocker, tag::JOB_DATA_END, &1u64.to_le_bytes()).unwrap();
+    blocker.flush().unwrap();
+    assert_eq!(read_frame(&mut blocker).unwrap().0, tag::JOB_RESULT);
+    assert!(trickle.elapsed() > 2 * io_timeout, "the v2 job queued long");
+
+    let (cached, _) = queued.join().unwrap();
+    assert!(
+        !cached,
+        "the long-queued v2 job still simulated and answered"
+    );
+    assert_eq!(server.stats().jobs_completed, 2);
+
+    // A v2 connection with nothing in flight is still dropped when silent.
+    let mut silent = TcpStream::connect(server.local_addr()).unwrap();
+    silent
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let opened = Instant::now();
+    let mut byte = [0u8; 1];
+    assert_eq!(
+        std::io::Read::read(&mut silent, &mut byte).unwrap(),
+        0,
+        "the server closes a silent connection"
+    );
+    assert!(opened.elapsed() >= io_timeout / 2);
+    server.shutdown();
+}
+
+#[test]
+fn v2_upload_frames_are_not_counted_as_requests() {
+    let server = start_server(ServerConfig {
+        jobs: 1,
+        ..ServerConfig::default()
+    });
+    let bytes = codec::encode(&test_trace(320, 2)).to_vec();
+    let requests = || metric(&server.metrics_text(), "serve_requests_total").unwrap_or(0);
+    let before = requests();
+    // One byte per TRACE_DATA frame: hundreds of upload frames for one
+    // request.
+    let mut v2 = TcpStream::connect(server.local_addr()).unwrap();
+    let header = Submit {
+        spec: "fpraker".into(),
+        digest: Fnv64::digest_of(&bytes),
+        trace_bytes: bytes.len() as u64,
+    }
+    .encode();
+    let (cached, _) = v2_job(&mut v2, tag::SUBMIT, &header, &bytes, 1, tag::RESULT);
+    assert!(!cached);
+    let counted = requests() - before;
+    if fpraker_telemetry::compiled() {
+        assert!(counted >= 1, "the SUBMIT itself is a request");
+    }
+    // Other tests in this process may submit concurrently, so the bound
+    // leaves room for them — but not for one request per upload frame.
+    assert!(
+        counted < bytes.len() as u64 / 2,
+        "{counted} requests for one job uploaded in {} frames",
+        bytes.len()
+    );
+    server.shutdown();
+}
+
+#[test]
+fn metrics_declare_each_family_once_with_the_values_stats_reports() {
+    let server = start_server(ServerConfig {
+        jobs: 1,
+        queue_depth: 1,
+        ..ServerConfig::default()
+    });
+    let conn = PipelinedConnection::connect(server.local_addr()).unwrap();
+    let bytes: Vec<Vec<u8>> = (0..4)
+        .map(|i| codec::encode(&test_trace(330 + i, 2)).to_vec())
+        .collect();
+
+    // A holds the lone permit (its upload waits for `wait()`).
+    let job_a = conn
+        .start_encoded(&bytes[0], "fpraker", JobOptions::default())
+        .unwrap();
+    wait_for_stats(&server, "job A to start", |s| s.jobs_in_flight == 1);
+    // B's deadline lapses in the queue.
+    let deadline = JobOptions {
+        deadline_ms: 20,
+        ..JobOptions::default()
+    };
+    match conn.submit_encoded(&bytes[1], "fpraker", deadline) {
+        Err(ServeError::DeadlineExpired) => {}
+        other => panic!("queued job outlived its deadline: {other:?}"),
+    }
+    // C fills the one-deep queue, so D is refused; then C is cancelled.
+    let job_c = conn
+        .start_encoded(&bytes[2], "fpraker", JobOptions::default())
+        .unwrap();
+    wait_for_stats(&server, "job C to queue", |s| s.jobs_queued == 1);
+    match conn.submit_encoded(&bytes[3], "fpraker", JobOptions::default()) {
+        Err(ServeError::Busy { .. }) => {}
+        other => panic!("saturated server accepted the job: {other:?}"),
+    }
+    job_c.cancel().unwrap();
+    match job_c.wait() {
+        Err(ServeError::Cancelled) => {}
+        other => panic!("queued job survived cancel: {other:?}"),
+    }
+    assert!(!job_a.wait().unwrap().cached);
+    wait_for_stats(&server, "job A to retire", |s| s.jobs_in_flight == 0);
+
+    let stats = server.stats();
+    assert_eq!(
+        (
+            stats.busy_rejections,
+            stats.jobs_cancelled,
+            stats.jobs_deadline_expired
+        ),
+        (1, 1, 1)
+    );
+    let text = server.metrics_text();
+    let mut families: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .map(|l| l.split_whitespace().next().unwrap())
+        .collect();
+    families.sort_unstable();
+    let declared = families.len();
+    families.dedup();
+    assert_eq!(
+        families.len(),
+        declared,
+        "a family is declared twice:\n{text}"
+    );
+    for (name, value) in [
+        ("serve_jobs_completed_total", stats.jobs_completed),
+        ("serve_cache_hits_total", stats.cache_hits),
+        ("serve_cache_misses_total", stats.cache_misses),
+        ("serve_cache_evictions_total", stats.cache_evictions),
+        ("serve_busy_rejections_total", stats.busy_rejections),
+        ("serve_jobs_cancelled_total", stats.jobs_cancelled),
+        (
+            "serve_jobs_deadline_expired_total",
+            stats.jobs_deadline_expired,
+        ),
+        ("serve_cache_entries", stats.cache_entries),
+        ("serve_cache_capacity", stats.cache_capacity),
+        ("serve_cache_resident_bytes", stats.cache_resident_bytes),
+        ("serve_cache_capacity_bytes", stats.cache_capacity_bytes),
+        ("serve_jobs_in_flight", stats.jobs_in_flight),
+        ("serve_jobs_queued", stats.jobs_queued),
+    ] {
+        let samples = text
+            .lines()
+            .filter(|l| l.split_once(' ').is_some_and(|(n, _)| n == name))
+            .count();
+        assert_eq!(samples, 1, "{name} has {samples} samples");
+        assert_eq!(metric(&text, name), Some(value), "{name}");
+    }
+    server.shutdown();
 }

@@ -72,10 +72,7 @@ fn assert_matches_local(result: &fpraker_serve::JobResult, local: &RunResult, sp
     assert_eq!(result.golden_failures, local.golden_failures());
     assert_eq!(result.ops.len(), local.ops.len());
     let model = EnergyModel::paper();
-    let energy = |counts| match local.machine {
-        Machine::FpRaker => model.fpraker_energy(counts).total_pj(),
-        Machine::Baseline => model.baseline_energy(counts).total_pj(),
-    };
+    let energy = |counts| local.machine.energy(&model, counts).total_pj();
     let total_counts = local.counts();
     assert_eq!(result.energy_pj.to_bits(), energy(&total_counts).to_bits());
     for (served, ours) in result.ops.iter().zip(&local.ops) {
@@ -533,5 +530,40 @@ fn digest_mismatch_is_rejected_and_not_cached() {
     write_frame(&mut raw, tag::SUBMIT, &submit.encode()).unwrap();
     let (t, _) = fpraker_serve::protocol::read_frame(&mut raw).unwrap();
     assert_eq!(t, tag::NEED_TRACE, "claimed digest must still be a miss");
+    server.shutdown();
+}
+
+#[test]
+fn file_submissions_stream_the_same_result_as_in_memory_bytes() {
+    let server = start_server(1);
+    let client = Client::connect(server.local_addr()).unwrap();
+    // Large enough to upload in more than one TRACE_CHUNK piece.
+    let trace = test_trace(47, 160);
+    let bytes = codec::encode(&trace).to_vec();
+    assert!(bytes.len() > fpraker_serve::protocol::TRACE_CHUNK);
+    let path = std::env::temp_dir().join(format!(
+        "fpraker_serve_submit_file_{}.trace",
+        std::process::id()
+    ));
+    std::fs::write(&path, &bytes).unwrap();
+
+    // Cold from the file, then warm from the same bytes in memory.
+    let from_file = client.submit_file(&path, "fpraker").unwrap();
+    assert!(!from_file.cached);
+    let (_, cfg) = resolve_machine("fpraker").unwrap();
+    let local = Engine::with_threads(1).run(Machine::FpRaker, &trace, &cfg);
+    assert_matches_local(&from_file.result, &local, "fpraker");
+    let from_bytes = client.submit_encoded(&bytes, "fpraker").unwrap();
+    assert!(from_bytes.cached, "file and bytes share one cache entry");
+    assert_eq!(from_bytes.result, from_file.result);
+
+    // The statistics job streams from disk the same way.
+    let stats_from_file = client.submit_stats_file(&path).unwrap();
+    assert!(!stats_from_file.cached);
+    let stats_from_bytes = client.submit_stats_encoded(&bytes).unwrap();
+    assert!(stats_from_bytes.cached);
+    assert_eq!(stats_from_bytes.report, stats_from_file.report);
+    assert_eq!(server.stats().jobs_completed, 2);
+    std::fs::remove_file(&path).ok();
     server.shutdown();
 }

@@ -89,10 +89,7 @@ fn assert_merged_matches_local(result: &fpraker_serve::JobResult, local: &RunRes
     assert_eq!(result.golden_failures, local.golden_failures());
     assert_eq!(result.ops.len(), local.ops.len());
     let model = EnergyModel::paper();
-    let energy = |counts| match local.machine {
-        Machine::FpRaker => model.fpraker_energy(counts).total_pj(),
-        Machine::Baseline => model.baseline_energy(counts).total_pj(),
-    };
+    let energy = |counts| local.machine.energy(&model, counts).total_pj();
     let total_counts = local.counts();
     assert_eq!(
         result.energy_pj.to_bits(),

@@ -21,6 +21,17 @@ pub enum Machine {
     Baseline,
 }
 
+impl Machine {
+    /// Energy of `counts` under `model`, accounted the way this machine
+    /// spends it — the one place event counts become picojoules.
+    pub fn energy(self, model: &EnergyModel, counts: &EventCounts) -> EnergyBreakdown {
+        match self {
+            Machine::FpRaker => model.fpraker_energy(counts),
+            Machine::Baseline => model.baseline_energy(counts),
+        }
+    }
+}
+
 /// The simulated execution of a whole trace.
 ///
 /// Per-op outcomes are kept in trace order; every aggregate below is a
@@ -115,11 +126,7 @@ impl RunResult {
 
     /// Energy of the run under the given model.
     pub fn energy(&self, model: &EnergyModel) -> EnergyBreakdown {
-        let counts = self.counts();
-        match self.machine {
-            Machine::FpRaker => model.fpraker_energy(&counts),
-            Machine::Baseline => model.baseline_energy(&counts),
-        }
+        self.machine.energy(model, &self.counts())
     }
 
     /// Total golden-check failures.
