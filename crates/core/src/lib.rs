@@ -55,6 +55,6 @@ mod tile;
 pub use baseline::BaselinePe;
 pub use config::{PeConfig, TileConfig};
 pub use machine::{BaselineMachine, FpRakerMachine, MachineBlock, MachineEvents, MachineModel};
-pub use pe::{Pe, PlannedSet, SetOutcome, MAX_LANES};
+pub use pe::{Pe, PlannedB, PlannedSet, SetOutcome, MAX_LANES};
 pub use stats::{ExecStats, LaneCycles, TermStats};
 pub use tile::{BlockOutcome, BlockPlans, Tile};

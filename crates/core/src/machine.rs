@@ -179,8 +179,9 @@ pub trait MachineModel: Send {
     /// tiling the statistics came from.
     fn events(&self, stats: &ExecStats, blocks: u64, sets_per_block: u64) -> MachineEvents;
 
-    /// Cycles this machine instance spent on the SWAR packed path with an
-    /// unstable lane occupancy, accumulated across every block it has run.
+    /// Cycles this machine instance's SWAR datapath rewound and replayed
+    /// per lane (see `Pe::swar_unstable_cycles`), accumulated across every
+    /// block it has run.
     /// Purely observational (the simulator surfaces it as a telemetry
     /// counter); `0` for machines without a SWAR datapath.
     fn swar_unstable_cycles(&self) -> u64 {

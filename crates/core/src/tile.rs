@@ -24,7 +24,7 @@
 use fpraker_num::Bf16;
 
 use crate::config::TileConfig;
-use crate::pe::{Pe, PlannedSet};
+use crate::pe::{Pe, PlannedB, PlannedSet};
 use crate::stats::ExecStats;
 
 /// The most rows an exponent-sharing group can have; the per-group span
@@ -85,17 +85,21 @@ pub struct Tile {
     cfg: TileConfig,
     /// Row-major `rows × cols`.
     pes: Vec<Pe>,
-    /// Reusable max-plus timing scratch, kept across blocks so streaming
-    /// many blocks through one tile allocates nothing per block once the
-    /// vectors have grown to the block shape.
-    timing: TimingScratch,
+    /// Reusable max-plus timing scratch and row B plans, kept across
+    /// blocks so streaming many blocks through one tile allocates nothing
+    /// per block once the vectors have grown to the block shape.
+    scratch: BlockScratch,
 }
 
-/// The event-driven timing state of one block: previous-set finish times
-/// and the per-set coupling fronts. Owned by the tile and cleared/resized
-/// at the top of each [`Tile::run_block`].
+/// The per-block working state: previous-set finish times, the per-set
+/// coupling fronts and the current set's B plans. Owned by the tile and
+/// cleared/resized at the top of each [`Tile::run_block`].
 #[derive(Clone, Debug, Default)]
-struct TimingScratch {
+struct BlockScratch {
+    /// The current set's B-side plan per row (the row's shared B stream,
+    /// decoded once and handed to every column's PE); refilled per set on
+    /// the fast paths, unused on the scalar reference path.
+    b_plans: Vec<PlannedB>,
     /// Previous-set finish time per (column, group), flat `cols × groups`.
     prev_finish: Vec<u64>,
     /// Per-set A-coupling front (max finish over a column's groups), flat
@@ -106,7 +110,7 @@ struct TimingScratch {
     row_front: Vec<u64>,
 }
 
-impl TimingScratch {
+impl BlockScratch {
     /// Zeroes the scratch for a new block of the given shape, reusing the
     /// existing allocations when they are large enough.
     fn reset(&mut self, cols: usize, groups: usize, num_sets: usize) {
@@ -139,7 +143,7 @@ impl Tile {
         Tile {
             pes: vec![Pe::new(cfg.pe); cfg.rows * cfg.cols],
             cfg,
-            timing: TimingScratch::default(),
+            scratch: BlockScratch::default(),
         }
     }
 
@@ -148,9 +152,9 @@ impl Tile {
         &self.cfg
     }
 
-    /// Total cycles the tile's PEs spent on the SWAR packed path with an
-    /// unstable lane occupancy (see [`Pe::swar_unstable_cycles`]), summed
-    /// over every PE and every block this tile instance has run.
+    /// Total cycles the tile's PEs rewound and replayed per lane on the SWAR
+    /// path (see [`Pe::swar_unstable_cycles`]), summed over every PE and
+    /// every block this tile instance has run.
     pub fn swar_unstable_cycles(&self) -> u64 {
         self.pes.iter().map(Pe::swar_unstable_cycles).sum()
     }
@@ -288,10 +292,11 @@ impl Tile {
         let groups = rows.div_ceil(group_rows);
         // All PEs share one config, so one probe decides the datapath: on
         // the fast paths each column's shared A set is planned once (term
-        // encoding, exponents, signs) and every PE row consumes the planned
-        // form — the column's shared term encoders of Section IV-C — through
-        // either the SWAR or the pre-SWAR planned loop. The scalar reference
-        // path re-encodes per PE, as the original model did.
+        // encoding, exponents, signs) — the column's shared term encoders
+        // of Section IV-C — and each row's shared B set is decoded once per
+        // set, and every PE consumes the two plans through either the SWAR
+        // or the planned loop. The scalar reference path re-encodes and
+        // re-decodes per PE, as the original model did.
         let use_swar = self.pes.first().is_some_and(Pe::uses_swar);
         if let Some(p) = plans {
             assert_eq!(
@@ -301,11 +306,20 @@ impl Tile {
             assert_eq!(p.plans.len(), num_sets * cols, "plan count mismatch");
         }
         let mut stats = ExecStats::default();
-        self.timing.reset(cols, groups, num_sets);
+        self.scratch.reset(cols, groups, num_sets);
         let a_slip = self.cfg.a_runahead;
         let b_slip = self.cfg.b_runahead;
 
         for s in 0..num_sets {
+            if plans.is_some() {
+                // Validates each B value once, as plan_block does for A.
+                self.scratch.b_plans.clear();
+                self.scratch.b_plans.extend(
+                    b_streams
+                        .iter()
+                        .map(|b| PlannedB::plan(&b[s * lanes..(s + 1) * lanes])),
+                );
+            }
             for (c, a_stream) in a_streams.iter().enumerate() {
                 let a_set = &a_stream[s * lanes..(s + 1) * lanes];
                 let plan = plans.map(|p| &p.plans[s * cols + c]);
@@ -321,18 +335,18 @@ impl Tile {
                     );
                 }
                 let a_gate = if groups > 1 && s > a_slip {
-                    self.timing.col_front[c * num_sets + (s - 1 - a_slip)]
+                    self.scratch.col_front[c * num_sets + (s - 1 - a_slip)]
                 } else {
                     0
                 };
                 for g in 0..groups {
                     let b_gate = if cols > 1 && s > b_slip {
                         // Release of set s-b_slip.
-                        self.timing.row_front[g * num_sets + (s - b_slip - 1)]
+                        self.scratch.row_front[g * num_sets + (s - b_slip - 1)]
                     } else {
                         0
                     };
-                    let prev = self.timing.prev_finish[c * groups + g];
+                    let prev = self.scratch.prev_finish[c * groups + g];
                     let start = prev.max(a_gate).max(b_gate);
                     let rows_here = ((g + 1) * group_rows).min(rows) - g * group_rows;
                     // Waiting on A/B coupling idles the whole group.
@@ -344,12 +358,14 @@ impl Tile {
                         .take(rows_here)
                         .enumerate()
                     {
-                        let b_set = &b_streams[r][s * lanes..(s + 1) * lanes];
                         let pe = &mut self.pes[r * cols + c];
+                        // Tile PEs keep no stats of their own: the block
+                        // sums their outcomes here.
                         let outcome = match plan {
-                            Some(p) if use_swar => pe.process_planned_swar(p, b_set),
-                            Some(p) => pe.process_planned(p, b_set),
-                            None => pe.process_set(a_set, b_set),
+                            Some(p) => pe.pair(p, &self.scratch.b_plans[r], use_swar),
+                            None => {
+                                pe.process_set(a_set, &b_streams[r][s * lanes..(s + 1) * lanes])
+                            }
                         };
                         stats.lane_cycles += outcome.lane_cycles;
                         stats.terms += outcome.terms;
@@ -367,18 +383,18 @@ impl Tile {
                         stats.lane_cycles.exponent += (dur - natural) * lanes as u64;
                     }
                     let finish = start + dur;
-                    self.timing.prev_finish[c * groups + g] = finish;
-                    let cf = &mut self.timing.col_front[c * num_sets + s];
+                    self.scratch.prev_finish[c * groups + g] = finish;
+                    let cf = &mut self.scratch.col_front[c * num_sets + s];
                     *cf = (*cf).max(finish);
-                    let rf = &mut self.timing.row_front[g * num_sets + s];
+                    let rf = &mut self.scratch.row_front[g * num_sets + s];
                     *rf = (*rf).max(finish);
                 }
             }
         }
 
-        let cycles = self.timing.prev_finish.iter().copied().max().unwrap_or(0);
+        let cycles = self.scratch.prev_finish.iter().copied().max().unwrap_or(0);
         // Groups that finish before the block does idle out the tail.
-        for (i, &f) in self.timing.prev_finish.iter().enumerate() {
+        for (i, &f) in self.scratch.prev_finish.iter().enumerate() {
             let g = i % groups;
             let rows_here = ((g + 1) * group_rows).min(rows) - g * group_rows;
             stats.lane_cycles.inter_pe += (cycles - f) * (rows_here * lanes) as u64;

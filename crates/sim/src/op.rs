@@ -315,7 +315,7 @@ pub(crate) fn run_unit<M: MachineModel>(
         }
         acc
     };
-    // The machine is fresh per unit, so its accumulated SWAR-unstable
+    // The machine is fresh per unit, so its accumulated SWAR replay
     // cycles are exactly this unit's contribution.
     fpraker_telemetry::counter!("pe_swar_unstable_cycles_total")
         .add(machine.swar_unstable_cycles());
